@@ -179,16 +179,6 @@ Mmu::Mmu(const MmuConfig &config, const vm::PageTable &pageTable,
     if (l1Page2M_)
         stats_.l1WayLookups2M.ensureBuckets(floorLog2(cfg_.l1Tlb2M.ways) + 1);
 
-    // Front-cache memo arrays, one slot per set of the owning TLB (a
-    // power of two, so the index is a mask). A range TLB paired with a
-    // mixed or combined L1 has no replay path (no organization pairs
-    // them); keep the front off rather than model the combination.
-    front4K_.resize(l1Page4K_->sets());
-    if (l1Page2M_)
-        front2M_.resize(l1Page2M_->sets());
-    if ((cfg_.mixedTlbs || cfg_.combinedFullyAssocL1) && l1Range_)
-        frontEnabled_ = false;
-
     // Provenance identities (must match the dynamicEnergyTotal() order
     // documented on obs::ProvStruct).
     m4K_.id = obs::ProvStruct::L1Tlb4K;
@@ -346,176 +336,9 @@ Mmu::fillL1Page(const tlb::TlbEntry &entry)
     }
 }
 
-bool
-Mmu::frontProbe(Addr vaddr)
-{
-    // Range memo first: it replays the full path's range-priority hit.
-    // The page memos are safe below it — a page memo is only stored by
-    // an access whose parallel range probe missed, and within one
-    // generation the range TLB saw no fill or invalidation, so it
-    // still misses every address of that page.
-    if (l1Range_ && enabledL1Range_ && frontRange_.gen == frontGen_ &&
-        l1Range_->peekReplayHit(frontRange_.set, vaddr, asid_)) {
-        frontReplayRange(vaddr);
-        return true;
-    }
-    {
-        const FrontSlot &s =
-            front4K_[(vaddr >> 12) & (front4K_.size() - 1)];
-        if (s.gen == frontGen_ &&
-            l1Page4K_->peekReplayHit(s.set, s.way, vaddr, asid_)) {
-            frontReplayPage(vaddr, *l1Page4K_, s, HitSource::L1Page4K);
-            return true;
-        }
-    }
-    if (l1Page2M_ && enabled2M_) {
-        const FrontSlot &s =
-            front2M_[(vaddr >> 21) & (front2M_.size() - 1)];
-        if (s.gen == frontGen_ &&
-            l1Page2M_->peekReplayHit(s.set, s.way, vaddr, asid_)) {
-            frontReplayPage(vaddr, *l1Page2M_, s, HitSource::L1Page2M);
-            return true;
-        }
-    }
-    if (l1Page1G_ && enabled1G_ && front1G_.gen == frontGen_ &&
-        l1Page1G_->peekReplayHit(front1G_.set, front1G_.way, vaddr,
-                                 asid_)) {
-        frontReplayPage(vaddr, *l1Page1G_, front1G_, HitSource::L1Page1G);
-        return true;
-    }
-    return false;
-}
-
-void
-Mmu::frontReplayPage(Addr vaddr, tlb::SetAssocTlb &tlb,
-                     const FrontSlot &slot, HitSource src)
-{
-    ++stats_.memOps;
-    if (EAT_PROV_ENABLED && prov_)
-        prov_->beginTranslation(stats_.instructions, coreId_, asid_, vaddr);
-
-    if (cfg_.mixedTlbs) {
-        // Mixed L1 (TLB_PP). The full path's page-size oracle is pure
-        // and free, and the page table cannot have changed within one
-        // generation, so the replay skips the prediction: the probe
-        // set it selects is the memo's set either way.
-        const unsigned lw4K = logWaysOf(tlb);
-        tlb.commitReplayHit(slot.set, slot.way);
-        chargeRead(m4K_, lw4K, true);
-        stats_.l1WayLookups4K.record(lw4K);
-    } else if (cfg_.combinedFullyAssocL1) {
-        const unsigned lw4K = logWaysOf(tlb);
-        const unsigned d = tlb.commitReplayHit(slot.set, slot.way);
-        chargeRead(m4K_, lw4K, true);
-        stats_.l1WayLookups4K.record(lw4K);
-        if (lite_)
-            lite_->onTlbHit(0, d, true);
-    } else {
-        // Per-size L1s probed in parallel: replay the hit structure's
-        // restamp and the other structures' (known) misses in the full
-        // path's exact order, so the provenance event stream and every
-        // counter match bit for bit.
-        if (l1Range_ && enabledL1Range_) {
-            l1Range_->noteMiss();
-            chargeRead(mL1Range_, 0, false);
-        }
-        const unsigned lw4K = logWaysOf(*l1Page4K_);
-        if (src == HitSource::L1Page4K) {
-            const unsigned d = tlb.commitReplayHit(slot.set, slot.way);
-            chargeRead(m4K_, lw4K, true);
-            stats_.l1WayLookups4K.record(lw4K);
-            if (lite_)
-                lite_->onTlbHit(0, d, true);
-        } else {
-            l1Page4K_->noteMiss();
-            chargeRead(m4K_, lw4K, false);
-            stats_.l1WayLookups4K.record(lw4K);
-        }
-        if (enabled2M_) {
-            const unsigned lw2M = logWaysOf(*l1Page2M_);
-            if (src == HitSource::L1Page2M) {
-                const unsigned d = tlb.commitReplayHit(slot.set, slot.way);
-                chargeRead(m2M_, lw2M, true);
-                stats_.l1WayLookups2M.record(lw2M);
-                if (lite_)
-                    lite_->onTlbHit(1, d, true);
-            } else {
-                l1Page2M_->noteMiss();
-                chargeRead(m2M_, lw2M, false);
-                stats_.l1WayLookups2M.record(lw2M);
-            }
-        }
-        if (enabled1G_) {
-            const unsigned lw1G = logWaysOf(*l1Page1G_);
-            if (src == HitSource::L1Page1G) {
-                const unsigned d = tlb.commitReplayHit(slot.set, slot.way);
-                chargeRead(m1G_, lw1G, true);
-                if (lite_)
-                    lite_->onTlbHit(2, d, true);
-            } else {
-                l1Page1G_->noteMiss();
-                chargeRead(m1G_, lw1G, false);
-            }
-        }
-    }
-
-    // Entry read fresh: a replay must observe exactly what a full
-    // probe of the slot would (e.g. an injected PPN corruption).
-    const tlb::TlbEntry entry = tlb.entryAt(slot.set, slot.way);
-    ++stats_.l1Hits;
-    ++stats_.hitsBySource[static_cast<unsigned>(src)];
-    ++frontHits_;
-    if (checker_) {
-        checkPageHit(vaddr, entry, src);
-        if ((stats_.memOps & 63) == 0)
-            auditWayMasks();
-    }
-    provEnd(hitSourceName(src), entry.shift, true);
-}
-
-void
-Mmu::frontReplayRange(Addr vaddr)
-{
-    ++stats_.memOps;
-    if (EAT_PROV_ENABLED && prov_)
-        prov_->beginTranslation(stats_.instructions, coreId_, asid_, vaddr);
-
-    const vm::RangeTranslation range =
-        l1Range_->commitReplayHit(frontRange_.set);
-    chargeRead(mL1Range_, 0, true);
-
-    // Full-path rangeHit semantics: the parallel page-TLB probes burn
-    // lookup energy but their entries are not used — no recency
-    // refresh, no hit/miss counting, no Lite utility.
-    const unsigned lw4K = logWaysOf(*l1Page4K_);
-    chargeRead(m4K_, lw4K);
-    stats_.l1WayLookups4K.record(lw4K);
-    if (enabled2M_) {
-        const unsigned lw2M = logWaysOf(*l1Page2M_);
-        chargeRead(m2M_, lw2M);
-        stats_.l1WayLookups2M.record(lw2M);
-    }
-    if (enabled1G_)
-        chargeRead(m1G_, logWaysOf(*l1Page1G_));
-
-    ++stats_.l1Hits;
-    ++stats_.hitsBySource[static_cast<unsigned>(HitSource::L1Range)];
-    ++frontHits_;
-    if (checker_) {
-        checker_->onRangeTranslation(vaddr, range.paddr(vaddr),
-                                     hitSourceName(HitSource::L1Range));
-        if ((stats_.memOps & 63) == 0)
-            auditWayMasks();
-    }
-    provEnd(hitSourceName(HitSource::L1Range), 0, true);
-}
-
 void
 Mmu::access(Addr vaddr)
 {
-    if (frontEnabled_ && frontProbe(vaddr))
-        return;
-
     ++stats_.memOps;
     if (EAT_PROV_ENABLED && prov_)
         prov_->beginTranslation(stats_.instructions, coreId_, asid_, vaddr);
@@ -538,8 +361,6 @@ Mmu::access(Addr vaddr)
     bool pageHit = false;
     HitSource pageSource = HitSource::L1Page4K;
     tlb::TlbEntry hitEntry{};
-    unsigned hitSet = 0;
-    unsigned hitWay = 0;
     vm::PageSize mixedPredicted = vm::PageSize::Size4K;
 
     if (cfg_.mixedTlbs) {
@@ -555,8 +376,6 @@ Mmu::access(Addr vaddr)
             pageHit = true;
             pageSource = HitSource::L1Page4K;
             hitEntry = res.entry;
-            hitSet = res.set;
-            hitWay = res.way;
         }
     } else if (cfg_.combinedFullyAssocL1) {
         // One fully associative lookup serves every page size; Lite
@@ -569,8 +388,6 @@ Mmu::access(Addr vaddr)
             pageHit = true;
             pageSource = HitSource::L1Page4K;
             hitEntry = res.entry;
-            hitSet = res.set;
-            hitWay = res.way;
             if (lite_)
                 lite_->onTlbHit(0, res.lruDistance, true);
         }
@@ -601,8 +418,6 @@ Mmu::access(Addr vaddr)
             pageHit = true;
             pageSource = HitSource::L1Page4K;
             hitEntry = res4k.entry;
-            hitSet = res4k.set;
-            hitWay = res4k.way;
             if (lite_)
                 lite_->onTlbHit(0, res4k.lruDistance, true);
         }
@@ -617,8 +432,6 @@ Mmu::access(Addr vaddr)
                 pageHit = true;
                 pageSource = HitSource::L1Page2M;
                 hitEntry = res2m.entry;
-                hitSet = res2m.set;
-                hitWay = res2m.way;
                 if (lite_)
                     lite_->onTlbHit(1, res2m.lruDistance, true);
             }
@@ -631,8 +444,6 @@ Mmu::access(Addr vaddr)
                 pageHit = true;
                 pageSource = HitSource::L1Page1G;
                 hitEntry = res1g.entry;
-                hitSet = res1g.set;
-                hitWay = res1g.way;
                 if (lite_)
                     lite_->onTlbHit(2, res1g.lruDistance, true);
             }
@@ -643,28 +454,6 @@ Mmu::access(Addr vaddr)
         ++stats_.l1Hits;
         const HitSource src = rangeHit ? HitSource::L1Range : pageSource;
         ++stats_.hitsBySource[static_cast<unsigned>(src)];
-        if (frontEnabled_) {
-            // Remember where this hit lives so a repeat can replay it.
-            if (rangeHit) {
-                frontRange_ = {frontGen_, l1Range_->lastHitSlot(), 0};
-            } else {
-                switch (pageSource) {
-                  case HitSource::L1Page4K:
-                    front4K_[(vaddr >> 12) & (front4K_.size() - 1)] = {
-                        frontGen_, hitSet, hitWay};
-                    break;
-                  case HitSource::L1Page2M:
-                    front2M_[(vaddr >> 21) & (front2M_.size() - 1)] = {
-                        frontGen_, hitSet, hitWay};
-                    break;
-                  case HitSource::L1Page1G:
-                    front1G_ = {frontGen_, hitSet, hitWay};
-                    break;
-                  default:
-                    break;
-                }
-            }
-        }
         if (checker_) {
             if (rangeHit) {
                 checker_->onRangeTranslation(vaddr, l1r->paddr(vaddr),
@@ -682,10 +471,6 @@ Mmu::access(Addr vaddr)
     // ------------------------------------------------------------------
     // L1 miss: the enabled L2 structures are searched in parallel.
     // ------------------------------------------------------------------
-    // Every miss ends a front-cache generation: the fills (and enable
-    // flips) below are exactly the state changes the replay equivalence
-    // argument excludes. Between two misses, only restamps happen.
-    frontClear();
     ++stats_.l1Misses;
     stats_.l1MissCycles += cfg_.l2HitLatency;
     if (lite_)
@@ -912,7 +697,6 @@ Mmu::switchContext(tlb::Asid asid, const vm::PageTable &pageTable,
 {
     if (asid == asid_ && &pageTable == pageTable_)
         return; // same address space: nothing reloads
-    frontClear(); // the memos are tagged with the outgoing space
     ++stats_.contextSwitches;
     asid_ = asid;
     pageTable_ = &pageTable;
@@ -955,10 +739,6 @@ unsigned
 Mmu::shootdownInvalidate(Addr vbase, Addr vlimit, tlb::Asid asid,
                          bool initiator)
 {
-    // The remap behind this shootdown may change translations (and,
-    // under TLB_PP, page-size predictions) without touching any
-    // surviving TLB entry the memos point at: drop them all.
-    frontClear();
     unsigned n = l1Page4K_->invalidateRange(vbase, vlimit, asid);
     if (l1Page2M_)
         n += l1Page2M_->invalidateRange(vbase, vlimit, asid);
@@ -1132,11 +912,6 @@ Mmu::tickIntervals()
             leakCache_.valid = false;
         }
         instrTowardInterval_ -= interval;
-        // Lite may just have resized. The replay path re-reads way
-        // masks on every hit, but dropping the memos keeps the
-        // generation invariant at its simplest: within one generation,
-        // nothing but LRU restamps happens to the L1 structures.
-        frontClear();
         // Emit after Lite's decision so the way-mask reflects it.
         if (telemetry_)
             emitIntervalRecord(interval);

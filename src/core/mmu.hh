@@ -67,14 +67,8 @@ struct InjectStats;
 namespace eat::core
 {
 
-/** True when the front-cache fast path is compiled in (the default;
- *  configure with -DEAT_FRONT_CACHE=OFF to compile it out and force
- *  every access down the full probe path). */
-#ifdef EAT_NO_FRONT_CACHE
+/** Read only by perfbench; remove with the next benchmark change. */
 inline constexpr bool kFrontCacheCompiledIn = false;
-#else
-inline constexpr bool kFrontCacheCompiledIn = true;
-#endif
 
 /** The per-core memory management unit. */
 class Mmu
@@ -233,31 +227,11 @@ class Mmu
     /** Total dynamic energy charged so far (all meters). */
     PicoJoules dynamicEnergyTotal() const;
 
-    /**
-     * Enable/disable the last-translation front cache, a pure
-     * simulator-speed memo ahead of the full L1 probe. Every replayed
-     * hit applies the exact side effects (energy charges, counters,
-     * recency restamps, checker calls, provenance events) the full
-     * probe would, so simulated outcomes are bit-identical either way.
-     * Must be OFF when a fault injector can corrupt TLB state behind
-     * the MMU's back (the driver harnesses enforce this): a corrupted
-     * tag aliasing a lower way could change the full probe's first
-     * match, which a replay cannot see. Forced off in
-     * -DEAT_FRONT_CACHE=OFF builds.
-     */
-    void
-    setFrontCacheEnabled(bool on)
-    {
-        frontEnabled_ = kFrontCacheCompiledIn && on;
-    }
+    /** Read only by perfbench; remove with the next benchmark change. */
+    void setFrontCacheEnabled(bool) {}
 
-    bool frontCacheEnabled() const { return frontEnabled_; }
-
-    /** Accesses served by the front cache. Deliberately NOT a
-     *  simulated statistic: it lives outside MmuStats, metrics,
-     *  telemetry, and digests (the hit rate is a simulator-performance
-     *  fact, surfaced only by eatperf). */
-    std::uint64_t frontCacheHits() const { return frontHits_; }
+    /** Read only by perfbench; remove with the next benchmark change. */
+    std::uint64_t frontCacheHits() const { return 0; }
 
     // --- introspection for tests and reports ---
     tlb::SetAssocTlb &l1Tlb4K() { return *l1Page4K_; }
@@ -337,35 +311,6 @@ class Mmu
     void emitIntervalRecord(InstrCount intervalInstructions);
 
     static unsigned logWaysOf(const tlb::SetAssocTlb &t);
-
-    // --- front cache (simulator fast path; see DESIGN.md §15) ---
-
-    /**
-     * A remembered L1 hit location. Live only while its generation
-     * matches frontGen_; the TLB's peekReplayHit() then re-validates
-     * it against live TLB state before any side effect is applied.
-     */
-    struct FrontSlot
-    {
-        std::uint64_t gen = 0;
-        unsigned set = 0;
-        unsigned way = 0;
-    };
-
-    /** Serve @p vaddr from the front cache if a remembered hit
-     *  validates; applies the full probe's exact side effects.
-     *  @return true when the access was replayed. */
-    bool frontProbe(Addr vaddr);
-
-    /** Replay one remembered page hit (any organization). */
-    void frontReplayPage(Addr vaddr, tlb::SetAssocTlb &tlb,
-                         const FrontSlot &slot, HitSource src);
-
-    /** Replay one remembered L1-range hit (plain organizations). */
-    void frontReplayRange(Addr vaddr);
-
-    /** Invalidate every front slot in O(1). */
-    void frontClear() { ++frontGen_; }
 
     MmuConfig cfg_;
     const vm::PageTable *pageTable_;
@@ -500,18 +445,6 @@ class Mmu
     /** Drain instrTowardInterval_: Lite decisions, generation bumps,
      *  telemetry records — one round per whole interval elapsed. */
     void tickIntervals();
-
-    // Front cache: per-structure last-hit memos. Sized to the owning
-    // TLB's set count (power of two) so repeated hits across sets
-    // coexist; slots die en masse via the generation counter and are
-    // re-validated against live TLB state before every replay.
-    bool frontEnabled_ = kFrontCacheCompiledIn;
-    std::uint64_t frontGen_ = 1;
-    std::vector<FrontSlot> front4K_;
-    std::vector<FrontSlot> front2M_;
-    FrontSlot front1G_;
-    FrontSlot frontRange_; ///< set field = RangeTlb slot index
-    std::uint64_t frontHits_ = 0; ///< simulator-perf counter only
 
     energy::CactiLite cacti_;
 };

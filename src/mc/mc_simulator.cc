@@ -235,13 +235,6 @@ mcSimulate(const McConfig &config)
         injector->registerRangeTlb(target.l2RangeTlb(),
                                    check::FaultTarget::L2Range);
     }
-    // The front cache must not replay around an armed injector's
-    // corruption; only the targeted core's structures are at risk.
-    for (unsigned c = 0; c < cores; ++c) {
-        mmus[c]->setFrontCacheEnabled(
-            config.base.frontCache &&
-            !(injector && c == config.faultCore));
-    }
 
     // --- shared observability outputs. One telemetry stream (records
     // carry the emitting core's id) and one trace for all cores.
@@ -496,7 +489,6 @@ mcSimulate(const McConfig &config)
         r.workloadName = result.mixName;
         r.org = config.base.mmu.org;
         r.stats = mmus[c]->stats();
-        r.frontCacheHits = mmus[c]->frontCacheHits();
         r.energy = mmus[c]->energyReport();
         if (mmus[c]->lite()) {
             r.lite = mmus[c]->lite()->stats();

@@ -1,5 +1,6 @@
 #include "qa/oracles.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -40,14 +41,19 @@ nearlyEqual(double a, double b)
     return std::abs(a - b) <= kEnergyRelTol * scale;
 }
 
-/** One oracle's book-keeping: note it ran, record a violation if any. */
+/** One oracle's book-keeping: note it ran, record a violation if any.
+ *  An oracle evaluated more than once (per core, or on a helper run)
+ *  is listed once in the verdict. */
 class Oracle
 {
   public:
     Oracle(OracleVerdict &verdict, std::string name)
         : verdict_(verdict), name_(std::move(name))
     {
-        verdict_.checked.push_back(name_);
+        auto &checked = verdict_.checked;
+        if (std::find(checked.begin(), checked.end(), name_) ==
+            checked.end())
+            checked.push_back(name_);
     }
 
     template <typename... Args>

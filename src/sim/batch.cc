@@ -355,39 +355,6 @@ parseCsvLine(const std::string &line)
     return cells;
 }
 
-/** Load the "ok" rows of a previous sweep's CSV for --resume. */
-std::vector<BatchRow>
-loadCompletedRows(const std::string &path)
-{
-    std::vector<BatchRow> rows;
-    std::ifstream in(path);
-    if (!in)
-        return rows;
-    const std::size_t width = batchCsvHeader().size();
-    std::string line;
-    bool first = true;
-    while (std::getline(in, line)) {
-        if (first) {
-            first = false; // header
-            continue;
-        }
-        if (line.empty())
-            continue;
-        const auto cells = parseCsvLine(line);
-        if (cells.size() != width || cells[2] != "ok")
-            continue;
-        BatchRow row;
-        row.workload = cells[0];
-        row.org = cells[1];
-        row.status = cells[2];
-        row.metrics.assign(cells.begin() + 3,
-                           cells.begin() + 3 +
-                               static_cast<long>(kMetricCount));
-        rows.push_back(std::move(row));
-    }
-    return rows;
-}
-
 /**
  * Rewrite the whole results file through a temp file and rename it
  * into place, so readers only ever see a complete CSV.
@@ -427,7 +394,33 @@ writeCsvAtomic(const std::string &path, const std::vector<BatchRow> &rows)
 std::vector<BatchRow>
 loadBatchRows(const std::string &path)
 {
-    return loadCompletedRows(path);
+    std::vector<BatchRow> rows;
+    std::ifstream in(path);
+    if (!in)
+        return rows;
+    const std::size_t width = batchCsvHeader().size();
+    std::string line;
+    bool first = true;
+    while (std::getline(in, line)) {
+        if (first) {
+            first = false; // header
+            continue;
+        }
+        if (line.empty())
+            continue;
+        const auto cells = parseCsvLine(line);
+        if (cells.size() != width || cells[2] != "ok")
+            continue;
+        BatchRow row;
+        row.workload = cells[0];
+        row.org = cells[1];
+        row.status = cells[2];
+        row.metrics.assign(cells.begin() + 3,
+                           cells.begin() + 3 +
+                               static_cast<long>(kMetricCount));
+        rows.push_back(std::move(row));
+    }
+    return rows;
 }
 
 const std::vector<std::string> &
@@ -520,28 +513,15 @@ runBatch(const BatchOptions &options, std::ostream &log)
             return Status::error("empty scheduler quantum");
     }
 
-    // The checkpoint journal is the authoritative resume record (it
-    // holds every settled cell, flushed per record). The CSV fallback
-    // covers sweeps checkpointed before the journal existed — it can
-    // only recover "ok" rows.
+    // The checkpoint journal is the only resume record: it holds every
+    // settled cell, flushed per record, under the sweep's fingerprint.
+    // Without one, a resume runs the whole grid.
     const std::string journalPath = options.checkpointPath.empty()
                                         ? options.outPath + ".journal"
                                         : options.checkpointPath;
     const std::string quarantinePath = journalPath + ".quarantine";
     const bool journalResume =
         options.resume && std::ifstream(journalPath).good();
-
-    std::vector<BatchRow> done;
-    if (options.resume && !journalResume)
-        done = loadCompletedRows(options.outPath);
-    auto findDone = [&done](const std::string &wl,
-                            const std::string &org) -> const BatchRow * {
-        for (const auto &row : done) {
-            if (row.workload == wl && row.org == org)
-                return &row;
-        }
-        return nullptr;
-    };
 
     BatchSummary summary;
     const std::size_t gridSize =
@@ -560,7 +540,6 @@ runBatch(const BatchOptions &options, std::ostream &log)
     };
     std::vector<GridCell> cells;
     std::vector<BatchRow> rows(gridSize);
-    std::vector<std::size_t> pendingCells;
     {
         std::size_t index = 0;
         const std::size_t numRows = mcMode ? 1 : specs.size();
@@ -571,16 +550,6 @@ runBatch(const BatchOptions &options, std::ostream &log)
                 BatchRow &row = rows[index];
                 row.workload = mcMode ? mixLabel : specs[w].name;
                 row.org = std::string(core::orgName(org));
-                if (const BatchRow *prev =
-                        findDone(row.workload, row.org)) {
-                    row = *prev;
-                    ++summary.resumed;
-                    log << "[" << index + 1 << "/" << gridSize << "] "
-                        << row.workload << " x " << row.org
-                        << ": resumed\n";
-                } else {
-                    pendingCells.push_back(index);
-                }
                 ++index;
             }
         }
@@ -598,9 +567,7 @@ runBatch(const BatchOptions &options, std::ostream &log)
     if (Status s = persist(); !s.ok())
         return s;
 
-    const std::size_t toRun = pendingCells.size();
-    std::size_t completedRuns = 0;  // executed (not resumed) and reaped
-    std::size_t replayedCells = 0;  // satisfied from the journal
+    std::size_t completedRuns = 0; // executed (not resumed) and reaped
 
     /** One progress line + pool-aware heartbeat after a finished run. */
     auto logCompletion = [&](const BatchRow &row, std::size_t inFlight) {
@@ -621,7 +588,7 @@ runBatch(const BatchOptions &options, std::ostream &log)
         log << "heartbeat: " << done << "/" << gridSize << " cells, "
             << inFlight << " in flight (-j" << jobs << "), "
             << fmt(elapsed) << "s elapsed";
-        const std::size_t liveTotal = toRun - replayedCells;
+        const std::size_t liveTotal = gridSize - summary.resumed;
         if (completedRuns < liveTotal && completedRuns > 0) {
             const double eta =
                 elapsed / static_cast<double>(completedRuns) *
@@ -631,13 +598,12 @@ runBatch(const BatchOptions &options, std::ostream &log)
         log << "\n";
     };
 
-    // One campaign task per pending cell: the child runs the
-    // simulation and reports metrics over its pipe; a crash, panic, or
-    // hang costs exactly that cell. The cell label doubles as the
-    // checkpoint key.
+    // One campaign task per cell: the child runs the simulation and
+    // reports metrics over its pipe; a crash, panic, or hang costs
+    // exactly that cell. The cell label doubles as the checkpoint key.
     std::vector<campaign::EngineTask> tasks;
-    tasks.reserve(toRun);
-    for (const std::size_t index : pendingCells) {
+    tasks.reserve(gridSize);
+    for (std::size_t index = 0; index < gridSize; ++index) {
         const BatchRow &row = rows[index];
         const std::string cell = row.workload + ":" + row.org;
         const bool wantFail = options.failCell == cell;
@@ -704,19 +670,18 @@ runBatch(const BatchOptions &options, std::ostream &log)
     engine.payloadOk = [](const std::string &payload) {
         return deserialize(payload).ok;
     };
-    // Default acceptCheckpoint (successes only) is exactly the CSV
-    // resume contract: failed and timed-out cells re-run on resume.
+    // Default acceptCheckpoint (successes only): failed and timed-out
+    // cells re-run on resume.
     engine.killAfterCheckpoints = options.killAfterCells;
 
     const auto engineRun = campaign::runEngine(
         engine, tasks,
         [&](std::size_t taskIndex, const campaign::TaskOutcome &outcome,
             std::size_t inFlight) {
-            BatchRow &row = rows[pendingCells[taskIndex]];
+            BatchRow &row = rows[taskIndex];
             finishCell(outcome, options.timeoutSeconds, row);
             if (outcome.fromCheckpoint) {
                 ++summary.resumed;
-                ++replayedCells;
                 log << "[" << summary.resumed + completedRuns << "/"
                     << gridSize << "] " << row.workload << " x "
                     << row.org << ": resumed\n";

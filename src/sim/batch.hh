@@ -9,7 +9,7 @@
  * cell, is recorded as such, and the sweep continues. Results are
  * rewritten atomically (tmp file + rename) after every run, so an
  * interrupted sweep always leaves a complete, parseable CSV behind and
- * can resume from the rows already done.
+ * can resume from its checkpoint journal.
  *
  * The grid cells are independent by construction (every child owns its
  * seed and its whole address space), so the runner keeps up to `jobs`
@@ -58,7 +58,7 @@ struct BatchSummary
     unsigned ok = 0;
     unsigned failed = 0;
     unsigned timedOut = 0;
-    unsigned resumed = 0; ///< rows reused from a previous sweep
+    unsigned resumed = 0; ///< cells replayed from the checkpoint journal
 
     /** Cells recorded in the poisoned-cell (quarantine) file; these
      *  are also counted under failed/timedOut. */
@@ -102,14 +102,14 @@ struct BatchOptions
      */
     unsigned jobs = 1;
 
-    /** Reuse "ok" rows from an existing outPath instead of re-running. */
+    /** Replay the checkpoint journal instead of re-running its settled
+     *  cells; without a journal the whole grid runs. */
     bool resume = false;
 
     /**
      * Checkpoint journal path; empty derives "<outPath>.journal". The
      * journal records every settled cell (flushed per record), so a
-     * killed sweep resumes losing at most the cells in flight; resume
-     * replays it in preference to the CSV.
+     * killed sweep resumes losing at most the cells in flight.
      */
     std::string checkpointPath;
 
@@ -181,10 +181,9 @@ struct BatchOptions
 const std::vector<std::string> &batchCsvHeader();
 
 /**
- * Load the "ok" rows of a sweep CSV (as written by runBatch). Used by
- * --resume and by drivers that post-process a finished sweep, e.g. the
- * normalized per-mix organization table eatbatch prints after a
- * multicore sweep.
+ * Load the "ok" rows of a sweep CSV (as written by runBatch), for
+ * tools that post-process a finished sweep, e.g. the normalized
+ * per-mix organization table eatbatch prints after a multicore sweep.
  */
 std::vector<BatchRow> loadBatchRows(const std::string &path);
 

@@ -231,9 +231,6 @@ simulate(const SimConfig &config)
     core::Mmu mmu(config.mmu, mm.pageTable(), rangeTable);
     CheckHarness harness(config, mm, rangeTable, mmu);
     ObsHarness outputs(config, mmu, harness);
-    // An armed injector corrupts TLB state behind the MMU's back; the
-    // front cache must not replay around that (see Mmu docs).
-    mmu.setFrontCacheEnabled(config.frontCache && !harness.injector);
 
     // --- fast-forward: advance the generator without touching the MMU
     // (the TLBs start cold at the measurement window, as with the
@@ -292,7 +289,6 @@ simulate(const SimConfig &config)
     profiler.start("report");
     result.stats = mmu.stats();
     result.energy = mmu.energyReport();
-    result.frontCacheHits = mmu.frontCacheHits();
     if (mmu.lite()) {
         result.lite = mmu.lite()->stats();
         result.liteEnabled = true;
@@ -327,7 +323,6 @@ simulateFromTrace(const SimConfig &config, const std::string &tracePath)
     core::Mmu mmu(config.mmu, mm.pageTable(), rangeTable);
     CheckHarness harness(config, mm, rangeTable, mmu);
     ObsHarness outputs(config, mmu, harness);
-    mmu.setFrontCacheEnabled(config.frontCache && !harness.injector);
 
     profiler.start("simulate");
     workloads::TraceReader reader(tracePath);
@@ -344,7 +339,6 @@ simulateFromTrace(const SimConfig &config, const std::string &tracePath)
     result.org = config.mmu.org;
     result.stats = mmu.stats();
     result.energy = mmu.energyReport();
-    result.frontCacheHits = mmu.frontCacheHits();
     if (mmu.lite()) {
         result.lite = mmu.lite()->stats();
         result.liteEnabled = true;

@@ -71,12 +71,7 @@ struct SimConfig
      */
     std::string faultSpec;
 
-    /**
-     * Last-translation front cache (simulator fast path; digest- and
-     * telemetry-identical on or off — see core::Mmu). The driver
-     * forces it off whenever faultSpec arms an injector, and
-     * -DEAT_FRONT_CACHE=OFF builds ignore the flag entirely.
-     */
+    /** Read only by perfbench; remove with the next benchmark change. */
     bool frontCache = true;
 
     // --- observability outputs (all optional; empty path = off) ---
@@ -130,12 +125,7 @@ struct SimResult
     /** Wall-clock seconds per driver stage (always populated). */
     obs::StageTimings profile;
 
-    /**
-     * Memory operations served by the MMU's last-translation front
-     * cache. A simulator-performance counter only — the front cache is
-     * outcome-invisible, so this is deliberately absent from MmuStats,
-     * metrics, and digests (eatperf reports it as a hit rate).
-     */
+    /** Read only by perfbench; remove with the next benchmark change. */
     std::uint64_t frontCacheHits = 0;
 
     /** Telemetry/trace volume (zeros when the outputs were off). */

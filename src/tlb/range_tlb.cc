@@ -44,7 +44,6 @@ RangeTlb::lookup(Addr vaddr, Asid asid)
             if (s.valid && s.asid == asid && s.range.contains(vaddr)) {
                 s.stamp = ++clock_;
                 ++hits_;
-                lastHitSlot_ = i;
                 return s.range;
             }
         }
@@ -72,7 +71,6 @@ RangeTlb::lookup(Addr vaddr, Asid asid)
         if (s.asid == asid && s.range.contains(vaddr)) {
             s.stamp = ++clock_;
             ++hits_;
-            lastHitSlot_ = i;
             return s.range;
         }
     }
@@ -181,21 +179,6 @@ RangeTlb::corruptRandomEntry(std::uint64_t rnd, bool flipTag)
         return true;
     }
     return false;
-}
-
-bool
-RangeTlb::peekReplayHit(unsigned slot, Addr vaddr, Asid asid) const
-{
-    if (slot >= slots_.size())
-        return false;
-    const Slot &s = slots_[slot];
-    if (!s.valid || s.asid != asid || !s.range.contains(vaddr))
-        return false;
-    for (const auto &other : slots_) {
-        if (other.valid && other.stamp > s.stamp)
-            return false;
-    }
-    return true;
 }
 
 unsigned

@@ -83,33 +83,6 @@ class RangeTlb
     std::uint64_t misses() const { return misses_; }
     std::uint64_t fills() const { return fills_; }
 
-    // --- front-cache replay hooks (core::Mmu's last-translation
-    // --- cache) ---
-
-    /** Slot index of the most recent lookup() hit (valid until the
-     *  next fill or invalidation). */
-    unsigned lastHitSlot() const { return lastHitSlot_; }
-
-    /** Would replaying a remembered hit in @p slot for (@p vaddr,
-     *  @p asid) match a full probe? True iff the slot is valid, tagged
-     *  @p asid, contains @p vaddr, and is the MRU entry. */
-    bool peekReplayHit(unsigned slot, Addr vaddr, Asid asid) const;
-
-    /** Apply the hit side effects of the slot checked by
-     *  peekReplayHit() and return its translation, read fresh. */
-    vm::RangeTranslation
-    commitReplayHit(unsigned slot)
-    {
-        Slot &s = slots_[slot];
-        s.stamp = ++clock_;
-        ++hits_;
-        return s.range;
-    }
-
-    /** Apply the miss side effect of a probe whose outcome (a miss) is
-     *  already known, without scanning the slots. */
-    void noteMiss() { ++misses_; }
-
   private:
     struct Slot
     {
@@ -128,7 +101,6 @@ class RangeTlb
     std::vector<unsigned> index_;
     bool indexDirty_ = true;
     bool corrupted_ = false;
-    unsigned lastHitSlot_ = 0;
     std::uint64_t clock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -22,8 +22,7 @@ SetAssocTlb::SetAssocTlb(std::string name, unsigned entries, unsigned ways,
       vbases_(entries, 0),
       pbases_(entries, 0),
       sizes_(entries, vm::PageSize::Size4K),
-      stamps_(entries, 0),
-      setMaxStamp_(sets_, 0)
+      stamps_(entries, 0)
 {
     eat_assert(ways >= 1, name_, ": ways must be >= 1");
     eat_assert(entries % ways == 0,
@@ -77,12 +76,8 @@ SetAssocTlb::lookupWithShift(Addr vaddr, unsigned idxShift, Asid asid)
     eat_assert(older < activeWays_, "corrupt recency stamps");
 
     stamps_[base + hitWay] = ++clock_;
-    setMaxStamp_[set] = clock_;
     ++hits_;
-    TlbLookupResult result{true, older, entryAt(base + hitWay)};
-    result.set = set;
-    result.way = hitWay;
-    return result;
+    return TlbLookupResult{true, older, entryAt(base + hitWay)};
 }
 
 bool
@@ -143,7 +138,6 @@ SetAssocTlb::fill(const TlbEntry &entry)
     pbases_[i] = entry.pbase;
     sizes_[i] = entry.size;
     stamps_[i] = ++clock_;
-    setMaxStamp_[set] = clock_;
     ++fills_;
     return evicted;
 }

@@ -44,10 +44,6 @@ struct TlbLookupResult
     /** LRU distance of the hit among active ways (valid iff hit). */
     unsigned lruDistance = 0;
     TlbEntry entry{};
-    /** Location of the hit (valid iff hit) — lets a front cache
-     *  remember where the translation lives and replay it later. */
-    unsigned set = 0;
-    unsigned way = 0;
 };
 
 /** A set-associative TLB (see file comment for the roles it plays). */
@@ -142,60 +138,9 @@ class SetAssocTlb
      *  count means an invalidation was lost — see auditWayMask). */
     unsigned validInDisabledWays() const;
 
-    // --- front-cache replay hooks (core::Mmu's last-translation cache;
-    // --- never called by tests of the modeled datapath semantics) ---
-
-    /**
-     * Would replaying a remembered hit at (@p set, @p way) for
-     * (@p vaddr, @p asid) be indistinguishable from a full probe? True
-     * iff the slot is an active-way valid entry covering @p vaddr under
-     * @p asid AND is the MRU of its set — the only position whose LRU
-     * distance is a constant (activeWays-1), so the replay needs no
-     * per-way scan. No state is touched.
-     *
-     * The MRU test compares the slot's stamp against the set's
-     * monotone stamp high-water mark instead of scanning the ways; the
-     * mark can only overstate the true maximum (invalidations never
-     * lower it), so the test errs exclusively toward "no" — a safe
-     * front-cache miss, never a wrong replay.
-     */
-    bool
-    peekReplayHit(unsigned set, unsigned way, Addr vaddr, Asid asid) const
-    {
-        if (way >= activeWays_)
-            return false;
-        const unsigned i = set * ways_ + way;
-        return valid_[i] && asids_[i] == asid &&
-               (vaddr >> shifts_[i]) == vtags_[i] &&
-               stamps_[i] >= setMaxStamp_[set];
-    }
-
-    /**
-     * Apply the hit side effects a full lookup of the slot checked by
-     * peekReplayHit() would apply: MRU restamp and hit count.
-     * @return the hit's LRU distance (activeWays-1 by construction).
-     */
-    unsigned
-    commitReplayHit(unsigned set, unsigned way)
-    {
-        stamps_[set * ways_ + way] = ++clock_;
-        setMaxStamp_[set] = clock_;
-        ++hits_;
-        return activeWays_ - 1;
-    }
-
-    /** Apply the miss side effect of a probe whose outcome (a miss) is
-     *  already known, without scanning the set. */
+    /** Count a miss the caller has already established without a
+     *  lookup (l3::DramTlb's tag cache proving a translation absent). */
     void noteMiss() { ++misses_; }
-
-    /** The entry stored at (@p set, @p way), read fresh — a replayed
-     *  hit must observe fills and fault-injected corruption exactly as
-     *  a full probe would. */
-    TlbEntry
-    entryAt(unsigned set, unsigned way) const
-    {
-        return entryAt(set * ways_ + way);
-    }
 
     // --- fault-injection hooks (check::FaultInjector and tests only;
     // --- never called by the modeled datapath) ---
@@ -254,10 +199,6 @@ class SetAssocTlb
     std::vector<Addr> pbases_;
     std::vector<vm::PageSize> sizes_;
     std::vector<std::uint64_t> stamps_;
-
-    /** Per-set high-water mark of stamps_ (monotone: stamping raises
-     *  it, invalidation leaves it). peekReplayHit()'s O(1) MRU test. */
-    std::vector<std::uint64_t> setMaxStamp_;
 
     std::uint64_t clock_ = 0;
     bool dropNextInvalidation_ = false;

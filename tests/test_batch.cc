@@ -2,15 +2,15 @@
  * @file
  * Tests for the fault-tolerant batch runner: grids complete, a failing
  * or hanging cell costs one row (not the sweep), the CSV on disk is
- * always complete, --resume reuses finished work, and the -jN process
- * pool changes wall clock only — row order and every non-timing column
- * are byte-identical to a serial sweep.
+ * always complete, --resume replays the checkpoint journal (and only
+ * the journal), and the -jN process pool changes wall clock only — row
+ * order and every non-timing column are byte-identical to a serial
+ * sweep.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "sim/batch.hh"
+#include "scratch_dir.hh"
 
 namespace eat::sim
 {
@@ -30,15 +31,7 @@ class BatchTest : public ::testing::Test
     void
     SetUp() override
     {
-        csvPath_ = ::testing::TempDir() + "eat_batch_test.csv";
-        std::remove(csvPath_.c_str());
-    }
-
-    void
-    TearDown() override
-    {
-        std::remove(csvPath_.c_str());
-        std::remove((csvPath_ + ".tmp").c_str());
+        csvPath_ = test::scratchDir() + "eat_batch_test.csv";
     }
 
     /** Small, fast sweep options. */
@@ -162,6 +155,32 @@ TEST_F(BatchTest, ResumeReusesCompletedRows)
         EXPECT_NE(lines[i].find(",ok,"), std::string::npos) << lines[i];
 }
 
+TEST_F(BatchTest, ResumeWithoutAJournalRunsTheWholeGrid)
+{
+    // Rows of a sweep over another instruction window must not be
+    // spliced in: without the fingerprinted journal, a resume starts
+    // over.
+    auto options = quickOptions();
+    std::ostringstream log1;
+    const auto first = runBatch(options, log1);
+    ASSERT_TRUE(first.ok()) << first.status().message();
+    EXPECT_EQ(first.value().ok, 4u);
+
+    options.base.simulateInstructions = 200'000;
+    options.checkpointPath = csvPath_ + ".fresh.journal";
+    options.resume = true;
+    std::ostringstream log2;
+    const auto second = runBatch(options, log2);
+    ASSERT_TRUE(second.ok()) << second.status().message();
+    EXPECT_EQ(second.value().resumed, 0u);
+    EXPECT_EQ(second.value().ok, 4u);
+
+    const auto lines = csvLines();
+    ASSERT_EQ(lines.size(), 5u);
+    for (std::size_t i = 1; i < lines.size(); ++i)
+        EXPECT_NE(lines[i].find(",200000,"), std::string::npos) << lines[i];
+}
+
 TEST_F(BatchTest, RejectsUnknownWorkloadUpFront)
 {
     auto options = quickOptions();
@@ -210,7 +229,7 @@ TEST_F(BatchTest, ParallelSweepIsByteIdenticalToSerial)
     const auto serial = csvLines();
 
     const std::string parallelPath =
-        ::testing::TempDir() + "eat_batch_test_j4.csv";
+        test::scratchDir() + "eat_batch_test_j4.csv";
     auto parallelOptions = quickOptions();
     parallelOptions.jobs = 4;
     parallelOptions.outPath = parallelPath;
@@ -226,8 +245,6 @@ TEST_F(BatchTest, ParallelSweepIsByteIdenticalToSerial)
         while (std::getline(in, line))
             parallel.push_back(line);
     }
-    std::remove(parallelPath.c_str());
-    std::remove((parallelPath + ".tmp").c_str());
 
     ASSERT_EQ(serial.size(), parallel.size());
     ASSERT_EQ(serial.size(), 5u); // header + 4 rows
@@ -252,7 +269,7 @@ TEST_F(BatchTest, ResumeAtADifferentJobCountIsByteIdentical)
 {
     // The uninterrupted reference: the whole grid serially (-j1).
     const std::string referencePath =
-        ::testing::TempDir() + "eat_batch_test_ref.csv";
+        test::scratchDir() + "eat_batch_test_ref.csv";
     auto referenceOptions = quickOptions();
     referenceOptions.jobs = 1;
     referenceOptions.outPath = referencePath;
@@ -265,7 +282,6 @@ TEST_F(BatchTest, ResumeAtADifferentJobCountIsByteIdentical)
         while (std::getline(in, line))
             reference.push_back(line);
     }
-    std::remove(referencePath.c_str());
 
     // A partial sweep at -j2: one cell fails, three complete.
     auto options = quickOptions();

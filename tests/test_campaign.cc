@@ -27,6 +27,7 @@
 #include "campaign/jsonl.hh"
 #include "campaign/retry.hh"
 #include "sim/batch.hh"
+#include "scratch_dir.hh"
 
 namespace eat::campaign
 {
@@ -36,7 +37,7 @@ namespace
 std::string
 tmpPath(const std::string &name)
 {
-    return ::testing::TempDir() + name;
+    return test::scratchDir() + name;
 }
 
 void
@@ -71,7 +72,6 @@ TEST(CampaignJsonl, ReadsCompleteFiles)
     ASSERT_TRUE(file.ok()) << file.status().message();
     EXPECT_EQ(file.value().records.size(), 2u);
     EXPECT_FALSE(file.value().truncated());
-    std::remove(path.c_str());
 }
 
 TEST(CampaignJsonl, ToleratesATruncatedFinalRecord)
@@ -87,7 +87,6 @@ TEST(CampaignJsonl, ToleratesATruncatedFinalRecord)
     EXPECT_TRUE(file.value().truncated());
     EXPECT_NE(file.value().truncatedTail.find("truncated"),
               std::string::npos);
-    std::remove(path.c_str());
 }
 
 TEST(CampaignJsonl, MalformedMiddleLineIsCorruptionNotTruncation)
@@ -98,7 +97,6 @@ TEST(CampaignJsonl, MalformedMiddleLineIsCorruptionNotTruncation)
     ASSERT_FALSE(file.ok());
     EXPECT_NE(file.status().message().find("malformed"),
               std::string::npos);
-    std::remove(path.c_str());
 }
 
 TEST(CampaignJsonl, MissingFileIsAnError)
@@ -119,7 +117,6 @@ TEST(CampaignJsonl, WriterFlushesPerRecord)
     ASSERT_TRUE(writer.value().append("{\"y\":2}").ok());
     EXPECT_EQ(readFile(path), "{\"x\":1}\n{\"y\":2}\n");
     EXPECT_EQ(writer.value().appended(), 2u);
-    std::remove(path.c_str());
 }
 
 // ---- failure classification and retry policy --------------------------
@@ -222,7 +219,6 @@ TEST(CampaignJournal, CreateAppendLoadRoundTrip)
     EXPECT_EQ(recovered.entries[1].attempts, 3u);
     EXPECT_TRUE(recovered.entries[1].quarantined);
     EXPECT_TRUE(recovered.truncatedTail.empty());
-    std::remove(path.c_str());
 }
 
 TEST(CampaignJournal, DuplicateKeysResolveLastWins)
@@ -245,7 +241,6 @@ TEST(CampaignJournal, DuplicateKeysResolveLastWins)
     ASSERT_EQ(recovered.entries.size(), 1u);
     EXPECT_EQ(recovered.entries[0].state, "done");
     EXPECT_EQ(recovered.entries[0].attempts, 2u);
-    std::remove(path.c_str());
 }
 
 TEST(CampaignJournal, FingerprintMismatchIsAnError)
@@ -261,7 +256,6 @@ TEST(CampaignJournal, FingerprintMismatchIsAnError)
     ASSERT_FALSE(loaded.ok());
     EXPECT_NE(loaded.status().message().find("different campaign"),
               std::string::npos);
-    std::remove(path.c_str());
 }
 
 TEST(CampaignJournal, TruncatedTailIsDroppedAndCompactedAway)
@@ -293,19 +287,16 @@ TEST(CampaignJournal, TruncatedTailIsDroppedAndCompactedAway)
     ASSERT_TRUE(reread.ok()) << reread.status().message();
     EXPECT_FALSE(reread.value().truncated());
     EXPECT_EQ(reread.value().records.size(), 2u);
-    std::remove(path.c_str());
 }
 
 TEST(CampaignJournal, LoadOfAMissingJournalDegradesToCreate)
 {
     const std::string path = tmpPath("journal_missing.jsonl");
-    std::remove(path.c_str());
     CheckpointJournal::Recovered recovered;
     auto loaded = CheckpointJournal::load(path, "fp", recovered);
     ASSERT_TRUE(loaded.ok()) << loaded.status().message();
     EXPECT_TRUE(recovered.entries.empty());
     EXPECT_TRUE(fileExists(path)); // meta record written
-    std::remove(path.c_str());
 }
 
 // ---- the engine: retry, quarantine, replay ----------------------------
@@ -316,7 +307,6 @@ TEST(CampaignEngine, TransientFailureRetriesThenSucceeds)
     // attempt sees the marker and succeeds — exactly the shape of a
     // transient fork-pressure or OOM-kill failure.
     const std::string marker = tmpPath("engine_retry_marker");
-    std::remove(marker.c_str());
 
     std::vector<EngineTask> tasks;
     tasks.push_back({"flaky", [marker]() -> std::string {
@@ -352,13 +342,11 @@ TEST(CampaignEngine, TransientFailureRetriesThenSucceeds)
     EXPECT_EQ(run.value().retries, 1u);
     EXPECT_EQ(run.value().executed, 1u);
     EXPECT_NE(log.str().find("transient"), std::string::npos);
-    std::remove(marker.c_str());
 }
 
 TEST(CampaignEngine, ExhaustedRetriesQuarantineWithoutKillingTheSweep)
 {
     const std::string quarantinePath = tmpPath("engine_quarantine.jsonl");
-    std::remove(quarantinePath.c_str());
 
     std::vector<EngineTask> tasks;
     tasks.push_back({"poison", []() -> std::string {
@@ -403,14 +391,12 @@ TEST(CampaignEngine, ExhaustedRetriesQuarantineWithoutKillingTheSweep)
     const auto *cls = quarantine.value().records[0].find("class");
     ASSERT_NE(cls, nullptr);
     EXPECT_EQ(cls->string, "signal");
-    std::remove(quarantinePath.c_str());
 }
 
 TEST(CampaignEngine, PersistentFailuresAreNotRetried)
 {
     const std::string quarantinePath =
         tmpPath("engine_badpayload.jsonl");
-    std::remove(quarantinePath.c_str());
 
     std::vector<EngineTask> tasks;
     tasks.push_back({"garbled", [] { return std::string("junk"); }});
@@ -437,13 +423,11 @@ TEST(CampaignEngine, PersistentFailuresAreNotRetried)
     EXPECT_EQ(outcomes[0].attempts, 1u);
     EXPECT_TRUE(outcomes[0].quarantined);
     EXPECT_EQ(run.value().retries, 0u);
-    std::remove(quarantinePath.c_str());
 }
 
 TEST(CampaignEngine, CheckpointReplayDoesNotReExecute)
 {
     const std::string journalPath = tmpPath("engine_replay.jsonl");
-    std::remove(journalPath.c_str());
 
     EngineOptions options;
     options.jobs = 2;
@@ -466,7 +450,6 @@ TEST(CampaignEngine, CheckpointReplayDoesNotReExecute)
     // Second run: same keys, but the task bodies would leave evidence
     // if they ran. They must not — the journal satisfies them.
     const std::string sentinel = tmpPath("engine_replay_sentinel");
-    std::remove(sentinel.c_str());
     std::vector<EngineTask> rerun;
     for (const auto &key : {"a", "b"}) {
         rerun.push_back({key, [sentinel]() -> std::string {
@@ -493,13 +476,11 @@ TEST(CampaignEngine, CheckpointReplayDoesNotReExecute)
     EXPECT_EQ(outcomes[0].payload, "alpha");
     EXPECT_EQ(outcomes[1].payload, "beta");
     EXPECT_FALSE(fileExists(sentinel));
-    std::remove(journalPath.c_str());
 }
 
 TEST(CampaignEngine, ResumeUnderADifferentFingerprintFails)
 {
     const std::string journalPath = tmpPath("engine_fp.jsonl");
-    std::remove(journalPath.c_str());
 
     EngineOptions options;
     options.journalPath = journalPath;
@@ -524,7 +505,6 @@ TEST(CampaignEngine, ResumeUnderADifferentFingerprintFails)
     ASSERT_FALSE(resumed.ok());
     EXPECT_NE(resumed.status().message().find("different campaign"),
               std::string::npos);
-    std::remove(journalPath.c_str());
 }
 
 // ---- batch runner on the engine: retry + quarantine -------------------
@@ -534,8 +514,6 @@ TEST(CampaignBatch, CrashingCellIsQuarantinedAfterItsRetryBudget)
     const std::string csv = tmpPath("campaign_batch_crash.csv");
     const std::string journal = csv + ".journal";
     const std::string quarantine = journal + ".quarantine";
-    for (const auto &p : {csv, journal, quarantine})
-        std::remove(p.c_str());
 
     sim::BatchOptions options;
     options.workloadNames = {"mcf"};
@@ -568,8 +546,6 @@ TEST(CampaignBatch, CrashingCellIsQuarantinedAfterItsRetryBudget)
     const auto *key = q.value().records[0].find("key");
     ASSERT_NE(key, nullptr);
     EXPECT_EQ(key->string, "mcf:RMM");
-    for (const auto &p : {csv, journal, quarantine})
-        std::remove(p.c_str());
 }
 
 // ---- binary-level crash-resume byte-identity --------------------------
@@ -637,13 +613,11 @@ class CrashResume : public ::testing::TestWithParam<int>
 TEST_P(CrashResume, EatbatchKillNineThenResumeIsByteIdentical)
 {
     const int jobs = GetParam();
-    const std::string dir = ::testing::TempDir();
+    const std::string dir = test::scratchDir();
     const std::string ref = dir + "cr_batch_ref_" +
                             std::to_string(jobs) + ".csv";
     const std::string out = dir + "cr_batch_out_" +
                             std::to_string(jobs) + ".csv";
-    for (const auto &p : {ref, ref + ".journal", out, out + ".journal"})
-        std::remove(p.c_str());
 
     const std::string grid =
         " --workloads=mcf,astar --orgs=THP,RMM"
@@ -667,20 +641,16 @@ TEST_P(CrashResume, EatbatchKillNineThenResumeIsByteIdentical)
         << resumed.output;
 
     EXPECT_EQ(normalizedCsv(out), normalizedCsv(ref));
-    for (const auto &p : {ref, ref + ".journal", out, out + ".journal"})
-        std::remove(p.c_str());
 }
 
 TEST_P(CrashResume, EatfuzzKillNineThenResumeIsByteIdentical)
 {
     const int jobs = GetParam();
-    const std::string dir = ::testing::TempDir();
+    const std::string dir = test::scratchDir();
     const std::string suffix = std::to_string(jobs) + ".jsonl";
     const std::string ref = dir + "cr_fuzz_ref_" + suffix;
     const std::string out = dir + "cr_fuzz_out_" + suffix;
     const std::string ckpt = dir + "cr_fuzz_ckpt_" + suffix;
-    for (const auto &p : {ref, out, ckpt, ckpt + ".quarantine"})
-        std::remove(p.c_str());
 
     const std::string campaign =
         " --runs=10 --seed=42 --no-shrink -j" + std::to_string(jobs);
@@ -704,19 +674,15 @@ TEST_P(CrashResume, EatfuzzKillNineThenResumeIsByteIdentical)
 
     // Verdicts have no wall-clock columns: exact equality.
     EXPECT_EQ(readFile(out), readFile(ref));
-    for (const auto &p : {ref, out, ckpt, ckpt + ".quarantine"})
-        std::remove(p.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Jobs, CrashResume, ::testing::Values(1, 4));
 
 TEST(CrashResumeCli, ResumingADifferentCampaignFails)
 {
-    const std::string dir = ::testing::TempDir();
+    const std::string dir = test::scratchDir();
     const std::string verdicts = dir + "cr_fp_verdicts.jsonl";
     const std::string ckpt = dir + "cr_fp_ckpt.jsonl";
-    for (const auto &p : {verdicts, ckpt})
-        std::remove(p.c_str());
 
     const auto first = runCmd(kEatfuzz + " --runs=2 --seed=42 -j1" +
                               " --verdicts=" + verdicts +
@@ -732,19 +698,15 @@ TEST(CrashResumeCli, ResumingADifferentCampaignFails)
     EXPECT_NE(wrong.output.find("different campaign"),
               std::string::npos)
         << wrong.output;
-    for (const auto &p : {verdicts, ckpt})
-        std::remove(p.c_str());
 }
 
 // ---- graceful shutdown ------------------------------------------------
 
 TEST(GracefulShutdown, SigtermStopsDispatchAndLeavesResumableState)
 {
-    const std::string dir = ::testing::TempDir();
+    const std::string dir = test::scratchDir();
     const std::string ref = dir + "gs_ref.csv";
     const std::string out = dir + "gs_out.csv";
-    for (const auto &p : {ref, ref + ".journal", out, out + ".journal"})
-        std::remove(p.c_str());
 
     // Big enough that four cells take a while at -j1, so the SIGTERM
     // lands mid-sweep.
@@ -808,8 +770,6 @@ TEST(GracefulShutdown, SigtermStopsDispatchAndLeavesResumableState)
     const auto reference = runCmd(kEatbatch + " --out=" + ref + grid);
     ASSERT_EQ(reference.exitCode, 0) << reference.output;
     EXPECT_EQ(normalizedCsv(out), normalizedCsv(ref));
-    for (const auto &p : {ref, ref + ".journal", out, out + ".journal"})
-        std::remove(p.c_str());
 }
 
 } // namespace

@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_dir.hh"
+
 namespace
 {
 
@@ -101,7 +103,7 @@ TEST(CliEatsim, RejectsGarbageNumericFlags)
 TEST(CliEatsim, FailsOnMissingTraceFile)
 {
     expectFailure(kEatsim + " --workload=mcf --replay=" +
-                      ::testing::TempDir() + "/no_such_trace.eat",
+                      eat::test::scratchDir() + "no_such_trace.eat",
                   1, "cannot open trace file");
 }
 
@@ -110,7 +112,7 @@ TEST(CliEatsim, FailsOnTruncatedTraceFile)
     // A file that passes the magic check but whose body is shorter
     // than the record count the header promises.
     const std::string path =
-        ::testing::TempDir() + "/truncated_trace.eat";
+        eat::test::scratchDir() + "truncated_trace.eat";
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out.write("EATTRACE", 8);
@@ -129,7 +131,7 @@ TEST(CliEatsim, FailsOnTruncatedTraceFile)
 
 TEST(CliEatsim, FailsOnGarbageTraceFile)
 {
-    const std::string path = ::testing::TempDir() + "/garbage_trace.eat";
+    const std::string path = eat::test::scratchDir() + "garbage_trace.eat";
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << "this is not a trace file at all, but it is long enough";
@@ -163,14 +165,14 @@ TEST(CliEatsim, RejectsInconsistentMulticoreFlags)
     expectFailure(kEatsim + " --workload=mcf --cores=2 --quantum=0", 2,
                   "--quantum");
     expectFailure(kEatsim + " --workload=mcf --cores=2 --record=" +
-                      ::testing::TempDir() + "/mc.eat",
+                      eat::test::scratchDir() + "mc.eat",
                   2, "single-core only");
 }
 
 TEST(CliEatbatch, RejectsBadCoresAndMixes)
 {
     const std::string base =
-        kEatbatch + " --out=" + ::testing::TempDir() + "/cli_mc.csv";
+        kEatbatch + " --out=" + eat::test::scratchDir() + "cli_mc.csv";
     expectFailure(base + " --cores=0", 2, "out of range");
     expectFailure(base + " --cores=99", 2, "out of range");
     expectFailure(base + " --mix=nosuchworkload", 2, "unknown workload");
@@ -180,7 +182,7 @@ TEST(CliEatbatch, RejectsBadCoresAndMixes)
 TEST(CliEatbatch, RejectsBadJobCounts)
 {
     const std::string base =
-        kEatbatch + " --out=" + ::testing::TempDir() + "/cli_jobs.csv";
+        kEatbatch + " --out=" + eat::test::scratchDir() + "cli_jobs.csv";
     expectFailure(base + " --jobs=0", 2, "jobs");
     expectFailure(base + " --jobs=grue", 2, "jobs");
     expectFailure(base + " -j100000", 2, "jobs");
@@ -188,12 +190,12 @@ TEST(CliEatbatch, RejectsBadJobCounts)
 
 TEST(CliEatbatch, RejectsMalformedInjectAndUsage)
 {
-    expectFailure(kEatbatch + " --out=" + ::testing::TempDir() +
-                      "/cli_inject.csv --inject=ppn-flip@moon:0.1",
+    expectFailure(kEatbatch + " --out=" + eat::test::scratchDir() +
+                      "cli_inject.csv --inject=ppn-flip@moon:0.1",
                   2, "--inject");
     expectFailure(kEatbatch, 2, "usage");
     expectFailure(kEatbatch + " --workloads=nonexistent --out=" +
-                      ::testing::TempDir() + "/cli_wl.csv",
+                      eat::test::scratchDir() + "cli_wl.csv",
                   1, "unknown workload");
 }
 
@@ -219,7 +221,7 @@ TEST(CliEatsim, RejectsBadL3Flags)
 TEST(CliEatbatch, RejectsBadL3Flags)
 {
     const std::string base =
-        kEatbatch + " --out=" + ::testing::TempDir() + "/cli_l3.csv";
+        kEatbatch + " --out=" + eat::test::scratchDir() + "cli_l3.csv";
     expectFailure(base + " --l3=bogus", 2, "unknown l3 mode");
     expectFailure(base + " --l3-policy=walk", 2,
                   "--l3-policy requires --l3=cache");
@@ -235,10 +237,8 @@ TEST(CliEatbatch, ResumeRefusesAForeignL3Fingerprint)
     // The sweep's l3 knobs are part of the checkpoint fingerprint:
     // resuming a journal under a different tier configuration must be
     // refused outright, not silently mixed into the CSV.
-    const std::string csv = ::testing::TempDir() + "/cli_l3fp.csv";
-    const std::string journal = ::testing::TempDir() + "/cli_l3fp.journal";
-    std::remove(csv.c_str());
-    std::remove(journal.c_str());
+    const std::string csv = eat::test::scratchDir() + "cli_l3fp.csv";
+    const std::string journal = eat::test::scratchDir() + "cli_l3fp.journal";
 
     const std::string base = kEatbatch + " --out=" + csv +
                              " --workloads=mcf --orgs=4KB"
@@ -267,10 +267,10 @@ TEST(CliEatfuzz, RejectsBadUsage)
 
 TEST(CliEatfuzz, FailsOnMissingOrEmptyCorpus)
 {
-    expectFailure(kEatfuzz + " --shrink=" + ::testing::TempDir() +
-                      "/no_such_seed.json",
+    expectFailure(kEatfuzz + " --shrink=" + eat::test::scratchDir() +
+                      "no_such_seed.json",
                   1, "cannot open seed file");
-    const std::string empty = ::testing::TempDir() + "/empty_corpus";
+    const std::string empty = eat::test::scratchDir() + "empty_corpus";
     ASSERT_EQ(run("mkdir -p " + empty).exitCode, 0);
     expectFailure(kEatfuzz + " --replay=" + empty, 1, "seed files");
 }
@@ -278,7 +278,7 @@ TEST(CliEatfuzz, FailsOnMissingOrEmptyCorpus)
 TEST(CliEatbatch, RejectsBadCampaignFlags)
 {
     const std::string base =
-        kEatbatch + " --out=" + ::testing::TempDir() + "/cli_camp.csv";
+        kEatbatch + " --out=" + eat::test::scratchDir() + "cli_camp.csv";
     expectFailure(base + " --retries=garbage", 2, "--retries");
     expectFailure(base + " --retries=99", 2, "cap");
     expectFailure(base + " --checkpoint=", 2, "--checkpoint");
@@ -290,11 +290,11 @@ TEST(CliEatfuzz, RejectsBadCampaignFlags)
     expectFailure(kEatfuzz + " --retries=99", 2, "cap");
     expectFailure(kEatfuzz + " --checkpoint=", 2, "--checkpoint");
     expectFailure(kEatfuzz + " --resume", 2, "requires --checkpoint");
-    expectFailure(kEatfuzz + " --checkpoint=" + ::testing::TempDir() +
-                      "/cli_camp.jsonl --self-test",
+    expectFailure(kEatfuzz + " --checkpoint=" + eat::test::scratchDir() +
+                      "cli_camp.jsonl --self-test",
                   2, "campaign mode");
-    expectFailure(kEatfuzz + " --checkpoint=" + ::testing::TempDir() +
-                      "/cli_camp.jsonl --resume --shrink=x",
+    expectFailure(kEatfuzz + " --checkpoint=" + eat::test::scratchDir() +
+                      "cli_camp.jsonl --resume --shrink=x",
                   2, "campaign mode");
 }
 
@@ -331,7 +331,7 @@ TEST(CliEatsim, ReportsNestedPagingCosts)
 TEST(CliEatbatch, RejectsBadVirtualizationAndCoherenceFlags)
 {
     const std::string base =
-        kEatbatch + " --out=" + ::testing::TempDir() + "/cli_vm.csv";
+        kEatbatch + " --out=" + eat::test::scratchDir() + "cli_vm.csv";
     expectFailure(base + " --vm=bogus", 2, "unknown host-table mode");
     expectFailure(base + " --host-pages=2m", 2,
                   "--host-pages requires --vm");
@@ -346,8 +346,8 @@ TEST(CliEatsim, RejectsBadProvenanceFlags)
     expectFailure(kEatsim + " --workload=mcf --prov-sample=abc", 2,
                   "--prov-sample");
     expectFailure(kEatsim + " --workload=mcf --provenance=" +
-                      ::testing::TempDir() +
-                      "/cli_prov.jsonl --prov-sample=0",
+                      eat::test::scratchDir() +
+                      "cli_prov.jsonl --prov-sample=0",
                   2, "must be >= 1");
     expectFailure(kEatsim + " --workload=mcf --prov-sample=4", 2,
                   "requires --provenance");
@@ -367,8 +367,8 @@ TEST(CliEatreport, RejectsBadUsage)
 
 TEST(CliEatreport, FailsOnMissingInput)
 {
-    expectFailure(kEatreport + " --prov=" + ::testing::TempDir() +
-                      "/no_such.prov.jsonl",
+    expectFailure(kEatreport + " --prov=" + eat::test::scratchDir() +
+                      "no_such.prov.jsonl",
                   1, "cannot open provenance file");
 }
 
@@ -376,7 +376,7 @@ TEST(CliEatreport, FailsOnMalformedJsonl)
 {
     // A malformed line followed by more data is corruption, not a torn
     // final write — hard error naming the line.
-    const std::string bad = ::testing::TempDir() + "/bad.prov.jsonl";
+    const std::string bad = eat::test::scratchDir() + "bad.prov.jsonl";
     {
         std::ofstream out(bad, std::ios::trunc);
         out << "this is not json\n";
@@ -389,7 +389,7 @@ TEST(CliEatreport, FailsOnMalformedJsonl)
 
     // A stream of only garbage: the torn-line tolerance consumes the
     // one bad line, leaving no records at all.
-    const std::string empty = ::testing::TempDir() + "/torn.prov.jsonl";
+    const std::string empty = eat::test::scratchDir() + "torn.prov.jsonl";
     {
         std::ofstream out(empty, std::ios::trunc);
         out << "{\"schema\":\"eat.prov.ev"; // torn mid-write
@@ -398,7 +398,7 @@ TEST(CliEatreport, FailsOnMalformedJsonl)
                   "no provenance records");
 
     // Valid JSON of the wrong schema is someone else's file.
-    const std::string wrong = ::testing::TempDir() + "/wrong.prov.jsonl";
+    const std::string wrong = eat::test::scratchDir() + "wrong.prov.jsonl";
     {
         std::ofstream out(wrong, std::ios::trunc);
         out << "{\"schema\":\"eat.telemetry\",\"v\":2}\n";
@@ -416,7 +416,7 @@ TEST(CliEatperf, RejectsBadBaselineFlags)
 
 TEST(CliEatfuzz, RejectsMalformedSeedFile)
 {
-    const std::string path = ::testing::TempDir() + "/bad_seed.json";
+    const std::string path = eat::test::scratchDir() + "bad_seed.json";
     {
         std::ofstream out(path, std::ios::trunc);
         out << "{\"schema\": \"eat.qa.scenario\", \"v\": 1}";

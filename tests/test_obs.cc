@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -21,6 +20,7 @@
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "stats/histogram.hh"
+#include "scratch_dir.hh"
 
 namespace eat::obs
 {
@@ -288,7 +288,7 @@ TEST(Telemetry, EveryLineIsOneVersionedParseableRecord)
 
 TEST(Telemetry, OpenWritesFile)
 {
-    const std::string path = ::testing::TempDir() + "eat_obs_tel.jsonl";
+    const std::string path = test::scratchDir() + "eat_obs_tel.jsonl";
     {
         auto sink = TelemetrySink::open(path);
         ASSERT_TRUE(sink.ok()) << sink.status().message();
@@ -299,7 +299,6 @@ TEST(Telemetry, OpenWritesFile)
     std::string line;
     ASSERT_TRUE(std::getline(in, line));
     EXPECT_TRUE(parseJson(line).ok());
-    std::remove(path.c_str());
 }
 
 TEST(Telemetry, FlushesEveryRecordBeforeClose)
@@ -308,7 +307,7 @@ TEST(Telemetry, FlushesEveryRecordBeforeClose)
     // so far must already be on disk (at most a torn final line, never
     // buffered history). Read the file back while the sink is open.
     const std::string path =
-        ::testing::TempDir() + "eat_obs_tel_flush.jsonl";
+        test::scratchDir() + "eat_obs_tel_flush.jsonl";
     auto sink = TelemetrySink::open(path);
     ASSERT_TRUE(sink.ok()) << sink.status().message();
     for (unsigned i = 0; i < 3; ++i) {
@@ -323,7 +322,6 @@ TEST(Telemetry, FlushesEveryRecordBeforeClose)
         EXPECT_EQ(lines, i + 1);
     }
     EXPECT_TRUE(sink.value()->close().ok());
-    std::remove(path.c_str());
 }
 
 TEST(Telemetry, OpenReportsUnwritablePath)

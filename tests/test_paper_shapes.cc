@@ -25,6 +25,7 @@
 
 #include "sim/simulator.hh"
 #include "workloads/suite.hh"
+#include "scratch_dir.hh"
 
 namespace eat
 {
@@ -180,8 +181,8 @@ TEST(PaperShapesProvenance, Fig10OrderingReproducedFromTracedRuns)
     // to eatreport --diff, and read the Figure-10 ratio it computes
     // from the traced events alone. mcf is walk-bound, so RMM_Lite
     // must land far below THP (full sweep: >80% savings vs 4KB).
-    const std::string pathA = ::testing::TempDir() + "/fig10_thp.jsonl";
-    const std::string pathB = ::testing::TempDir() + "/fig10_rmm.jsonl";
+    const std::string pathA = test::scratchDir() + "fig10_thp.jsonl";
+    const std::string pathB = test::scratchDir() + "fig10_rmm.jsonl";
     for (const auto &[org, path] :
          {std::pair{core::MmuOrg::Thp, pathA},
           std::pair{core::MmuOrg::RmmLite, pathB}}) {
@@ -207,8 +208,6 @@ TEST(PaperShapesProvenance, Fig10OrderingReproducedFromTracedRuns)
     while ((n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0)
         output.append(buffer, n);
     const int status = pclose(pipe);
-    std::remove(pathA.c_str());
-    std::remove(pathB.c_str());
     ASSERT_EQ(status, 0) << output;
 
     const auto pos = output.find("ratio=");

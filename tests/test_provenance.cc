@@ -26,6 +26,7 @@
 #include "obs/provenance.hh"
 #include "sim/simulator.hh"
 #include "workloads/suite.hh"
+#include "scratch_dir.hh"
 
 namespace eat
 {
@@ -130,7 +131,7 @@ TEST(Provenance, MulticoreWithShootdownsReconcilesPerCore)
 TEST(Provenance, SamplingThinsTheStreamButNotTheTotals)
 {
     const std::string path =
-        ::testing::TempDir() + "/sampled.prov.jsonl";
+        test::scratchDir() + "sampled.prov.jsonl";
 
     auto cfg = provConfig("astar", core::MmuOrg::Thp);
     const auto full = sim::simulate(cfg);
@@ -138,7 +139,6 @@ TEST(Provenance, SamplingThinsTheStreamButNotTheTotals)
     cfg.provenancePath = path;
     cfg.provenanceSampleEvery = 8;
     const auto sampled = sim::simulate(cfg);
-    std::remove(path.c_str());
 
     ASSERT_TRUE(sampled.provenanceEnabled);
     const auto &s = sampled.provenance;
@@ -182,7 +182,7 @@ TEST(Provenance, SummaryJsonRoundTripsExactly)
 TEST(Provenance, EatreportReconcilesTheStreamEndToEnd)
 {
     const std::string prov =
-        ::testing::TempDir() + "/e2e.prov.jsonl";
+        test::scratchDir() + "e2e.prov.jsonl";
     auto cfg = provConfig("mcf", core::MmuOrg::RmmLite, 300'000);
     cfg.provenancePath = prov;
     const auto r = sim::simulate(cfg);
@@ -199,7 +199,6 @@ TEST(Provenance, EatreportReconcilesTheStreamEndToEnd)
     while ((n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0)
         output.append(buffer, n);
     const int status = pclose(pipe);
-    std::remove(prov.c_str());
 
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0) << output;

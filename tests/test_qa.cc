@@ -23,6 +23,7 @@
 #include "qa/oracles.hh"
 #include "qa/scenario.hh"
 #include "qa/shrinker.hh"
+#include "scratch_dir.hh"
 
 namespace eat
 {
@@ -55,7 +56,7 @@ TEST(QaScenario, JsonRoundTripPreservesEveryField)
 TEST(QaScenario, SaveAndLoadRoundTrip)
 {
     const std::string path =
-        ::testing::TempDir() + "/qa_scenario_roundtrip.json";
+        test::scratchDir() + "qa_scenario_roundtrip.json";
     qa::Scenario s;
     s.id = 3;
     s.workload = "canneal";
@@ -209,6 +210,23 @@ TEST(QaOracles, DigestIsStableAndSensitive)
     EXPECT_NE(qa::resultDigest(a), qa::resultDigest(c));
 }
 
+TEST(QaOracles, EachOracleIsListedOnceInAVerdict)
+{
+    // A two-core run evaluates some oracles once per core.
+    qa::Scenario single;
+    single.simInstructions = 30'000;
+    qa::Scenario dual = single;
+    dual.cores = 2;
+    dual.mixSpec = "mcf,canneal";
+    for (const auto &s : {single, dual}) {
+        const auto verdict = qa::runOracles(s);
+        EXPECT_TRUE(verdict.passed()) << s.describe();
+        const std::set<std::string> distinct(verdict.checked.begin(),
+                                             verdict.checked.end());
+        EXPECT_EQ(distinct.size(), verdict.checked.size()) << s.describe();
+    }
+}
+
 TEST(QaOracles, SelfTestProvesTheOraclesHaveTeeth)
 {
     // The acceptance demonstration: deliberately seeded defects (a
@@ -226,7 +244,7 @@ TEST(QaCampaign, SmallCampaignIsCleanAndDeterministic)
     options.runs = 6;
     options.jobs = 2;
     options.verdictsPath =
-        ::testing::TempDir() + "/qa_campaign_verdicts.jsonl";
+        test::scratchDir() + "qa_campaign_verdicts.jsonl";
 
     std::ostringstream log;
     const auto first = qa::runCampaign(options, log);

@@ -16,6 +16,7 @@
 #include "sim/report.hh"
 #include "sim/simulator.hh"
 #include "workloads/suite.hh"
+#include "scratch_dir.hh"
 
 namespace eat::sim
 {
@@ -99,13 +100,12 @@ slurp(const std::string &path)
 
 TEST(Simulator, MetricsRegistryMatchesLegacyStats)
 {
-    const std::string path = ::testing::TempDir() + "eat_sim_metrics.json";
+    const std::string path = test::scratchDir() + "eat_sim_metrics.json";
     auto cfg = quickConfig("mcf", core::MmuOrg::TlbLite, 1'000'000);
     cfg.metricsPath = path;
     const auto r = simulate(cfg);
 
     const auto parsed = obs::parseJson(slurp(path));
-    std::remove(path.c_str());
     ASSERT_TRUE(parsed.ok()) << parsed.status().message();
     const obs::JsonValue &doc = parsed.value();
     EXPECT_EQ(doc.find("schema")->string, obs::kMetricsSchema);
@@ -138,7 +138,7 @@ TEST(Simulator, MetricsRegistryMatchesLegacyStats)
 
 TEST(Simulator, TelemetryStreamsOneParseableRecordPerInterval)
 {
-    const std::string path = ::testing::TempDir() + "eat_sim_tel.jsonl";
+    const std::string path = test::scratchDir() + "eat_sim_tel.jsonl";
     auto cfg = quickConfig("mcf", core::MmuOrg::TlbLite, 3'000'000);
     cfg.telemetryPath = path;
     const auto r = simulate(cfg);
@@ -148,7 +148,6 @@ TEST(Simulator, TelemetryStreamsOneParseableRecordPerInterval)
     EXPECT_GE(r.telemetryRecords, 3u);
 
     std::istringstream lines(slurp(path));
-    std::remove(path.c_str());
     std::string line;
     std::uint64_t parsedCount = 0;
     std::uint64_t instrTotal = 0;
@@ -175,7 +174,7 @@ TEST(Simulator, TelemetryStreamsOneParseableRecordPerInterval)
 
 TEST(Simulator, TraceOutIsStructurallyValidChromeTrace)
 {
-    const std::string path = ::testing::TempDir() + "eat_sim_trace.json";
+    const std::string path = test::scratchDir() + "eat_sim_trace.json";
     auto cfg = quickConfig("astar", core::MmuOrg::TlbLite, 3'000'000);
     cfg.traceOutPath = path;
     const auto r = simulate(cfg);
@@ -183,7 +182,6 @@ TEST(Simulator, TraceOutIsStructurallyValidChromeTrace)
     EXPECT_EQ(r.traceEventsDropped, 0u);
 
     const auto parsed = obs::parseJson(slurp(path));
-    std::remove(path.c_str());
     ASSERT_TRUE(parsed.ok()) << parsed.status().message();
     const obs::JsonValue *events = parsed.value().find("traceEvents");
     ASSERT_NE(events, nullptr);
@@ -206,14 +204,11 @@ TEST(Simulator, ObservabilityOutputsDoNotPerturbResults)
     const auto a = simulate(plain);
 
     auto instrumented = plain;
-    instrumented.metricsPath = ::testing::TempDir() + "eat_sim_m2.json";
+    instrumented.metricsPath = test::scratchDir() + "eat_sim_m2.json";
     instrumented.telemetryPath =
-        ::testing::TempDir() + "eat_sim_t2.jsonl";
-    instrumented.traceOutPath = ::testing::TempDir() + "eat_sim_c2.json";
+        test::scratchDir() + "eat_sim_t2.jsonl";
+    instrumented.traceOutPath = test::scratchDir() + "eat_sim_c2.json";
     const auto b = simulate(instrumented);
-    std::remove(instrumented.metricsPath.c_str());
-    std::remove(instrumented.telemetryPath.c_str());
-    std::remove(instrumented.traceOutPath.c_str());
 
     // Observation must be passive: bit-identical simulated behaviour.
     EXPECT_EQ(a.stats.memOps, b.stats.memOps);
@@ -276,14 +271,13 @@ TEST(Simulator, PaperInvariantsOnShortRuns)
 TEST(Simulator, TraceReplayMatchesDirectSimulation)
 {
     const std::string path =
-        ::testing::TempDir() + "eat_sim_trace_test.bin";
+        test::scratchDir() + "eat_sim_trace_test.bin";
     auto cfg = quickConfig("omnetpp", core::MmuOrg::Thp, 400'000);
 
     const auto direct = simulate(cfg);
     const auto recorded = recordTrace(cfg, path);
     EXPECT_GT(recorded, 0u);
     const auto replayed = simulateFromTrace(cfg, path);
-    std::remove(path.c_str());
 
     // Identical address space + identical operation stream => identical
     // hardware behaviour.

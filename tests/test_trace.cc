@@ -5,12 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <string>
 
 #include "workloads/trace.hh"
+#include "scratch_dir.hh"
 
 namespace eat::workloads
 {
@@ -23,13 +23,7 @@ class TraceTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "eat_trace_test.bin";
-    }
-
-    void
-    TearDown() override
-    {
-        std::remove(path_.c_str());
+        path_ = test::scratchDir() + "eat_trace_test.bin";
     }
 
     std::string path_;

@@ -83,8 +83,8 @@ usage(const char *argv0)
         "                       still fails is quarantined\n"
         "  --checkpoint=PATH    checkpoint journal (default\n"
         "                       <out>.journal)\n"
-        "  --resume             replay the checkpoint journal (or, if\n"
-        "                       absent, ok rows already in --out)\n"
+        "  --resume             replay the checkpoint journal; without\n"
+        "                       one, the whole grid runs\n"
         "  --cores=N            multicore sweep with N cores (1..16)\n"
         "  --mix=A,B,...        multiprogrammed mix (default: the\n"
         "                       selected workloads)\n"

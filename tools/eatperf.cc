@@ -19,20 +19,19 @@
  * noisy neighbour. --quick drops to one repeat to keep the CI lane's
  * wall clock flat. The simulated outcome is identical across repeats
  * (same seed, same windows); only the wall clock differs, so the
- * per-row simulation facts (e.g. the front-cache hit rate) are taken
- * from the first repeat.
+ * per-row simulation facts (e.g. the L3 hit rate) are taken from the
+ * first repeat.
  *
  * BENCH_perf.json schema (v5; v4 lacked the "l3" array, v3 lacked the
- * "vm" array, v2 lacked "repeats" and the per-row
- * "front_cache_hit_rate", v1 lacked the "mc" array):
+ * "vm" array, v2 lacked "repeats", v1 lacked the "mc" array):
  *
  *   {
  *     "schema": "eat.perf_baseline", "v": 5,
  *     "seed": ..., "instructions": ..., "fast_forward": ...,
  *     "repeats": N,
  *     "kips": [ {"org": "THP", "workload": "mcf",
- *                "sim_kips": <median>, "wall_seconds": <median>,
- *                "front_cache_hit_rate": ...}, ... ],
+ *                "sim_kips": <median>, "wall_seconds": <median>},
+ *               ... ],
  *     "mc": [ {"cores": 1, "mix": "mcf,canneal",
  *              "sim_kips": <median>, "wall_seconds": <median>}, ... ],
  *     "vm": [ {"vm": "identity", "host_pages": "4k",
@@ -381,18 +380,12 @@ main(int argc, char **argv)
         cfg.workload = *kipsSpec;
         cfg.mmu = core::MmuConfig::make(org);
         std::vector<double> kipsSamples, wallSamples;
-        double frontHitRate = 0.0;
         for (unsigned rep = 0; rep < repeats; ++rep) {
             const auto start = std::chrono::steady_clock::now();
             const sim::SimResult r = sim::simulate(cfg);
             const double wall = seconds(start);
             kipsSamples.push_back(r.simKips());
             wallSamples.push_back(wall);
-            if (rep == 0 && r.stats.memOps > 0) {
-                frontHitRate =
-                    static_cast<double>(r.frontCacheHits) /
-                    static_cast<double>(r.stats.memOps);
-            }
         }
         const double kipsMed = median(kipsSamples);
         obs::JsonObject entry;
@@ -400,14 +393,12 @@ main(int argc, char **argv)
         entry.put("workload", kipsSpec->name);
         entry.put("sim_kips", kipsMed);
         entry.put("wall_seconds", median(wallSamples));
-        entry.put("front_cache_hit_rate", frontHitRate);
         if (kipsArray.size() > 1)
             kipsArray += ",";
         kipsArray += entry.str();
         kipsNow.emplace_back(std::string(core::orgName(org)), kipsMed);
         std::cout << "kips: " << core::orgName(org) << " " << kipsMed
-                  << " (median of " << repeats << ", front-hit "
-                  << frontHitRate << ")\n";
+                  << " (median of " << repeats << ")\n";
     }
     kipsArray += "]";
 

@@ -65,10 +65,6 @@ usage(const char *argv0)
         "  --check=LEVEL        off | paddr | full (default full)\n"
         "  --inject=SPEC        inject TLB faults, e.g.\n"
         "                       'tag-flip@l1-4k:1e-4,drop-inv:1e-5'\n"
-        "  --front-cache=MODE   on | off: the simulator's\n"
-        "                       last-translation replay fast path\n"
-        "                       (default on; results are identical\n"
-        "                       either way)\n"
         "  --metrics=PATH       dump the metric registry as JSON\n"
         "  --telemetry=PATH     stream per-interval telemetry (JSONL)\n"
         "  --trace-out=PATH     write a Chrome trace of Lite/TLB\n"
@@ -490,18 +486,6 @@ main(int argc, char **argv)
             if (!specs.ok()) {
                 std::fprintf(stderr, "--inject: %s\n",
                              specs.status().message().c_str());
-                return 2;
-            }
-        } else if (const char *vfc = value("--front-cache=")) {
-            const std::string mode = vfc;
-            if (mode == "on") {
-                cfg.frontCache = true;
-            } else if (mode == "off") {
-                cfg.frontCache = false;
-            } else {
-                std::fprintf(stderr,
-                             "--front-cache: expected on|off, got '%s'\n",
-                             vfc);
                 return 2;
             }
         } else if (const char *v11 = value("--metrics=")) {
