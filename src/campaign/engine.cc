@@ -143,9 +143,19 @@ fromJournalEntry(const JournalEntry &entry,
     return outcome;
 }
 
-/** One-line diagnostic for logs and the quarantine file. */
+unsigned
+effectiveJobs(unsigned requested)
+{
+    if (requested != 0)
+        return requested;
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? hw : 1;
+}
+
+} // namespace
+
 std::string
-describeFailure(const TaskOutcome &outcome)
+describeFailure(const TaskOutcome &outcome, unsigned timeoutSeconds)
 {
     switch (outcome.failure) {
       case FailureClass::None:
@@ -157,7 +167,8 @@ describeFailure(const TaskOutcome &outcome)
         return "child killed by signal " +
                std::to_string(outcome.termSignal);
       case FailureClass::TimedOut:
-        return "killed by the watchdog";
+        return "killed by the " + std::to_string(timeoutSeconds) +
+               "s watchdog";
       case FailureClass::NonzeroExit:
         return "child exited with status " +
                std::to_string(outcome.exitCode);
@@ -166,17 +177,6 @@ describeFailure(const TaskOutcome &outcome)
     }
     return "unknown failure";
 }
-
-unsigned
-effectiveJobs(unsigned requested)
-{
-    if (requested != 0)
-        return requested;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
-}
-
-} // namespace
 
 Result<EngineSummary>
 runEngine(const EngineOptions &options,
@@ -263,7 +263,8 @@ runEngine(const EngineOptions &options,
             record.put("key", tasks[index].key);
             record.put("class",
                        failureClassName(outcome.failure));
-            record.put("error", describeFailure(outcome));
+            record.put("error",
+                       describeFailure(outcome, options.timeoutSeconds));
             record.put("attempts", outcome.attempts);
             record.put("exit", outcome.exitCode);
             record.put("signal", outcome.termSignal);
@@ -276,7 +277,8 @@ runEngine(const EngineOptions &options,
             log << "quarantine: " << tasks[index].key << ": "
                 << failureClassName(outcome.failure) << " after "
                 << outcome.attempts << " attempt(s): "
-                << describeFailure(outcome) << "\n";
+                << describeFailure(outcome, options.timeoutSeconds)
+                << "\n";
         }
         if (journaling && !outcome.fromCheckpoint) {
             if (Status s = journal.append(

@@ -147,6 +147,14 @@ struct EngineSummary
 };
 
 /**
+ * One-line diagnostic of @p outcome's failure class — the wording of
+ * quarantine records, eatbatch's CSV error column and eatfuzz's
+ * verdicts. @p timeoutSeconds is the watchdog the task ran under.
+ */
+std::string describeFailure(const TaskOutcome &outcome,
+                            unsigned timeoutSeconds);
+
+/**
  * Run every task to a final outcome (or until interrupted/aborted).
  * @p log receives one line per retry, quarantine, and recovery event.
  * Errors are reserved for unusable options and checkpoint problems;

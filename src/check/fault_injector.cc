@@ -174,6 +174,18 @@ FaultInjector::pickRangeTlb(FaultTarget target)
     return nullptr;
 }
 
+const InjectStats &
+FaultInjector::stats() const
+{
+    std::uint64_t consumed = 0;
+    for (const auto &slot : pageTlbs_)
+        consumed += slot.tlb->ppnFlipsConsumed();
+    for (const auto &slot : rangeTlbs_)
+        consumed += slot.tlb->ppnFlipsConsumed();
+    stats_.ppnFlipsConsumed = consumed;
+    return stats_;
+}
+
 void
 FaultInjector::registerMetrics(obs::MetricRegistry &registry,
                                const std::string &prefix) const
@@ -187,6 +199,8 @@ FaultInjector::registerMetrics(obs::MetricRegistry &registry,
                         &stats_.droppedInvalidations);
     registry.addCounter(name("inject.spurious_enables"),
                         &stats_.spuriousEnables);
+    registry.addCounter(name("inject.ppn_flips_consumed"),
+                        [this] { return stats().ppnFlipsConsumed; });
 }
 
 void

@@ -86,6 +86,11 @@ struct InjectStats
     std::uint64_t droppedInvalidations = 0; ///< armed drops
     std::uint64_t spuriousEnables = 0;
 
+    /** Lookups, summed over the registered TLBs, that hit an entry
+     *  whose PPN differs from its fill: flips the datapath consumed.
+     *  A flipped entry evicted before its next hit is never counted. */
+    std::uint64_t ppnFlipsConsumed = 0;
+
     std::uint64_t
     injected() const
     {
@@ -108,7 +113,9 @@ class FaultInjector
     /** One injection opportunity (call once per memory operation). */
     void tick();
 
-    const InjectStats &stats() const { return stats_; }
+    /** The counters, with ppnFlipsConsumed summed over the registered
+     *  TLBs at the time of the call. */
+    const InjectStats &stats() const;
 
     /** Register the inject.* counters into @p registry (bindings only;
      *  the registry must not outlive this injector). Multicore runs
@@ -142,7 +149,8 @@ class FaultInjector
     std::vector<PageTlbSlot> pageTlbs_;
     std::vector<RangeTlbSlot> rangeTlbs_;
     Rng rng_;
-    InjectStats stats_;
+    /** Mutable: stats() refreshes the consumed-flip sum. */
+    mutable InjectStats stats_;
 
     obs::TraceWriter *trace_ = nullptr;
     unsigned traceTrack_ = 0;

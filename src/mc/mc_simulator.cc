@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 
 #include "base/logging.hh"
 #include "core/mmu.hh"
@@ -12,7 +14,7 @@
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "stats/counter.hh"
-#include "vm/memory_manager.hh"
+#include "workloads/trace.hh"
 
 namespace eat::mc
 {
@@ -34,30 +36,12 @@ struct Task
     std::uint64_t remapEvents = 0;
 };
 
-/** The seed of task @p t's generator; task 0 keeps the config seed so
- *  a one-task run replays the single-core driver bit for bit. */
+/** The seed of task @p t's generator; task 0 keeps the config seed, so
+ *  a one-task run is the single-core run of that seed. */
 std::uint64_t
 taskSeed(const McConfig &config, unsigned t)
 {
     return config.base.seed + t * 0x9e3779b97f4a7c15ull;
-}
-
-/** The OS policy of the configured organization (same override hook as
- *  the single-core driver). */
-vm::OsPolicy
-policyOf(const McConfig &config)
-{
-    auto policy = config.base.mmu.osPolicy();
-    if (config.base.eagerRangesPerRegion > 0)
-        policy.eagerRangesPerRegion = config.base.eagerRangesPerRegion;
-    return policy;
-}
-
-/** Footprint-derived physical pool size (single-core formula). */
-std::uint64_t
-defaultPhysBytes(std::uint64_t footprint)
-{
-    return alignUp(footprint + footprint / 4 + 256_MiB, 2_MiB);
 }
 
 /**
@@ -89,27 +73,118 @@ churnTask(Task &task)
         ++task.remapEvents;
 }
 
-} // namespace
+/** The sample point of a run without an MPKI timeline. */
+constexpr InstrCount kNever = std::numeric_limits<InstrCount>::max();
 
-Result<McConfig::CoherenceMode>
-coherenceModeFromName(std::string_view name)
+/** One core's Figure-4 MPKI timeline and the counters at its last
+ *  sample. */
+struct CoreTimeline
 {
-    if (name == "ipi")
-        return McConfig::CoherenceMode::Ipi;
-    if (name == "hw")
-        return McConfig::CoherenceMode::Hw;
-    return Status::error("unknown coherence mode '", name,
-                         "' (expected ipi or hw)");
+    stats::Timeline samples;
+    InstrCount nextSample;
+    std::uint64_t missesAtSample = 0;
+    InstrCount instrAtSample = 0;
+
+    explicit CoreTimeline(InstrCount interval)
+        : samples(interval), nextSample(interval ? interval : kNever)
+    {
+    }
+
+    /** Close every window ending at or before @p retired instructions
+     *  of the core's measured window. */
+    void
+    sample(InstrCount retired, const core::MmuStats &s)
+    {
+        while (retired >= nextSample) {
+            record(s);
+            nextSample += samples.intervalInstructions();
+        }
+    }
+
+    /** Close the final partial window, so the timeline covers the
+     *  whole measured run. */
+    void
+    flush(const core::MmuStats &s)
+    {
+        if (samples.intervalInstructions() && s.instructions > instrAtSample)
+            record(s);
+    }
+
+  private:
+    void
+    record(const core::MmuStats &s)
+    {
+        samples.record(stats::mpki(s.l1Misses - missesAtSample,
+                                   s.instructions - instrAtSample));
+        missesAtSample = s.l1Misses;
+        instrAtSample = s.instructions;
+    }
+};
+
+/** A generated task's operations: the stream never runs dry. */
+struct GeneratedOps
+{
+    workloads::WorkloadGenerator &gen;
+
+    bool
+    next(workloads::MemOp &op)
+    {
+        op = gen.next();
+        return true;
+    }
+};
+
+/** A replayed task's operations: dry at the end of the trace. */
+struct ReplayedOps
+{
+    workloads::TraceReader &reader;
+
+    bool
+    next(workloads::MemOp &op)
+    {
+        const auto read = reader.next();
+        if (read)
+            op = *read;
+        return read.has_value();
+    }
+};
+
+/**
+ * The per-operation loop of one quantum: feed @p ops to @p mmu until
+ * the core has retired @p end instructions or the source runs dry
+ * (@p dry is then set). @p injector is null unless @p mmu is the fault
+ * core's. Returns the core's retired instruction count.
+ */
+template <typename Ops>
+InstrCount
+runQuantum(Ops ops, core::Mmu &mmu, check::FaultInjector *injector,
+           CoreTimeline &timeline, InstrCount retired, InstrCount end,
+           bool &dry)
+{
+    InstrCount nextSample = timeline.nextSample;
+    workloads::MemOp op;
+    while (retired < end) {
+        if (!ops.next(op)) {
+            dry = true;
+            break;
+        }
+        if (injector)
+            injector->tick();
+        mmu.tick(op.instrGap);
+        mmu.access(op.vaddr);
+        retired += op.instrGap;
+        if (retired >= nextSample) {
+            timeline.sample(retired, mmu.stats());
+            nextSample = timeline.nextSample;
+        }
+    }
+    return retired;
 }
 
-std::string_view
-coherenceModeName(McConfig::CoherenceMode mode)
-{
-    return mode == McConfig::CoherenceMode::Hw ? "hw" : "ipi";
-}
-
+/** The engine behind mcSimulate() and mcReplay(): the trace at
+ *  @p replayPath, when given, is the one task's operation stream. */
 McResult
-mcSimulate(const McConfig &config)
+runEngine(const McConfig &config, const std::string *replayPath)
 {
     eat_assert(config.cores >= 1 && config.cores <= kMaxCores,
                "core count ", config.cores, " out of range");
@@ -119,6 +194,8 @@ mcSimulate(const McConfig &config)
     eat_assert(config.quantumInstructions > 0, "empty scheduler quantum");
     eat_assert(config.faultCore < config.cores,
                "fault core ", config.faultCore, " beyond core count");
+    eat_assert(!replayPath || (config.cores == 1 && config.mix.size() == 1),
+               "a trace replays on one core with one workload");
 
     obs::StageProfiler profiler;
     profiler.start("setup");
@@ -128,6 +205,9 @@ mcSimulate(const McConfig &config)
         std::max<std::size_t>(cores, config.mix.size()));
     const bool wantRange =
         config.base.mmu.hasL1Range || config.base.mmu.hasL2Range;
+    auto specOf = [&config](unsigned t) -> const workloads::WorkloadSpec & {
+        return config.mix[t % config.mix.size()];
+    };
 
     // --- address spaces. Private mode: one per task, every one
     // starting at the same virtual base, so the spaces overlap and the
@@ -135,36 +215,22 @@ mcSimulate(const McConfig &config)
     // in its own region of it.
     std::vector<std::unique_ptr<vm::MemoryManager>> spaces;
     if (config.sharedAddressSpace) {
-        std::uint64_t physBytes = config.base.physBytes;
-        if (physBytes == 0) {
-            std::uint64_t need = 0;
-            for (unsigned t = 0; t < numTasks; ++t) {
-                const std::uint64_t fp =
-                    config.mix[t % config.mix.size()].footprintBytes();
-                need += fp + fp / 4;
-            }
-            physBytes = alignUp(need + 256_MiB, 2_MiB);
-        }
-        spaces.push_back(std::make_unique<vm::MemoryManager>(
-            policyOf(config), physBytes,
-            config.base.seed ^ 0x05f5e0ffull));
+        std::vector<workloads::WorkloadSpec> all;
+        for (unsigned t = 0; t < numTasks; ++t)
+            all.push_back(specOf(t));
+        spaces.push_back(
+            makeAddressSpace(config.base, all, taskSeed(config, 0)));
     } else {
         for (unsigned t = 0; t < numTasks; ++t) {
-            std::uint64_t physBytes = config.base.physBytes;
-            if (physBytes == 0) {
-                physBytes = defaultPhysBytes(
-                    config.mix[t % config.mix.size()].footprintBytes());
-            }
-            spaces.push_back(std::make_unique<vm::MemoryManager>(
-                policyOf(config), physBytes,
-                taskSeed(config, t) ^ 0x05f5e0ffull));
+            spaces.push_back(makeAddressSpace(config.base, {specOf(t)},
+                                              taskSeed(config, t)));
         }
     }
 
     std::vector<Task> tasks(numTasks);
     for (unsigned t = 0; t < numTasks; ++t) {
         Task &task = tasks[t];
-        task.spec = config.mix[t % config.mix.size()];
+        task.spec = specOf(t);
         task.asid =
             config.sharedAddressSpace ? 0 : static_cast<tlb::Asid>(t);
         task.mm = config.sharedAddressSpace ? spaces[0].get()
@@ -348,8 +414,7 @@ mcSimulate(const McConfig &config)
             });
     }
 
-    // --- fast-forward every task (cold TLBs at the measured window,
-    // exactly as single-core).
+    // --- fast-forward every task (cold TLBs at the measured window).
     if (config.base.fastForwardInstructions > 0) {
         profiler.start("fast-forward");
         for (auto &task : tasks)
@@ -357,19 +422,15 @@ mcSimulate(const McConfig &config)
     }
 
     // --- measured window: round-robin quanta until every core has
-    // retired its budget.
+    // retired its budget (or, replaying, until the trace runs dry).
     profiler.start("simulate");
+    std::optional<workloads::TraceReader> replay;
+    if (replayPath)
+        replay.emplace(*replayPath);
     const InstrCount budget = config.base.simulateInstructions;
     std::vector<InstrCount> coreRetired(cores, 0);
-
-    std::vector<stats::Timeline> timelines;
-    for (unsigned c = 0; c < cores; ++c)
-        timelines.emplace_back(config.base.timelineInterval);
-    std::vector<InstrCount> nextSample(
-        cores, config.base.timelineInterval ? config.base.timelineInterval
-                                            : 0);
-    std::vector<std::uint64_t> missesAtSample(cores, 0);
-    std::vector<InstrCount> instrAtSample(cores, 0);
+    std::vector<CoreTimeline> timelines(
+        cores, CoreTimeline(config.base.timelineInterval));
 
     std::uint64_t round = 0;
     while (true) {
@@ -379,60 +440,41 @@ mcSimulate(const McConfig &config)
                 continue;
             anyActive = true;
             Task &task = tasks[(round + c) % numTasks];
+            core::Mmu &mmu = *mmus[c];
             activeCore = c;
             filter.noteScheduled(task.asid, c);
-            mmus[c]->switchContext(task.asid, task.mm->pageTable(),
-                                   task.rangeTable, config.ctxFlush);
+            mmu.switchContext(task.asid, task.mm->pageTable(),
+                              task.rangeTable, config.ctxFlush);
             if (config.remapInterval > 0 &&
                 task.sinceChurn >= config.remapInterval) {
                 task.sinceChurn = 0;
                 churnTask(task);
             }
 
-            const InstrCount quantumEnd =
-                std::min(coreRetired[c] + config.quantumInstructions,
-                         budget);
-            while (coreRetired[c] < quantumEnd) {
-                const auto op = task.gen->next();
-                if (injector && c == config.faultCore)
-                    injector->tick();
-                mmus[c]->tick(op.instrGap);
-                mmus[c]->access(op.vaddr);
-                coreRetired[c] += op.instrGap;
-                task.retired += op.instrGap;
-                task.sinceChurn += op.instrGap;
-
-                if (config.base.timelineInterval) {
-                    const InstrCount elapsed = coreRetired[c];
-                    while (nextSample[c] && elapsed >= nextSample[c]) {
-                        const auto &s = mmus[c]->stats();
-                        const std::uint64_t dMiss =
-                            s.l1Misses - missesAtSample[c];
-                        const InstrCount dInstr =
-                            s.instructions - instrAtSample[c];
-                        timelines[c].record(stats::mpki(dMiss, dInstr));
-                        missesAtSample[c] = s.l1Misses;
-                        instrAtSample[c] = s.instructions;
-                        nextSample[c] += config.base.timelineInterval;
-                    }
-                }
-            }
+            const InstrCount start = coreRetired[c];
+            const InstrCount end =
+                std::min(start + config.quantumInstructions, budget);
+            check::FaultInjector *coreInjector =
+                c == config.faultCore ? injector.get() : nullptr;
+            bool dry = false;
+            const InstrCount retired =
+                replay ? runQuantum(ReplayedOps{*replay}, mmu,
+                                    coreInjector, timelines[c], start,
+                                    end, dry)
+                       : runQuantum(GeneratedOps{*task.gen}, mmu,
+                                    coreInjector, timelines[c], start,
+                                    end, dry);
+            task.retired += retired - start;
+            task.sinceChurn += retired - start;
+            // A replayed trace that ran dry ends its core's window.
+            coreRetired[c] = dry ? budget : retired;
         }
         if (!anyActive)
             break;
         ++round;
     }
-
-    // Flush the final partial timeline windows.
-    if (config.base.timelineInterval) {
-        for (unsigned c = 0; c < cores; ++c) {
-            const auto &s = mmus[c]->stats();
-            const std::uint64_t dMiss = s.l1Misses - missesAtSample[c];
-            const InstrCount dInstr = s.instructions - instrAtSample[c];
-            if (dInstr > 0)
-                timelines[c].record(stats::mpki(dMiss, dInstr));
-        }
-    }
+    for (unsigned c = 0; c < cores; ++c)
+        timelines[c].flush(mmus[c]->stats());
 
     profiler.start("report");
     McResult result;
@@ -501,7 +543,7 @@ mcSimulate(const McConfig &config)
         }
         if (injector && c == config.faultCore)
             r.inject = injector->stats();
-        r.mpkiTimeline = std::move(timelines[c]);
+        r.mpkiTimeline = std::move(timelines[c].samples);
         r.telemetryRecords = telemetryRecords;
         r.traceEvents = traceEvents;
         r.traceEventsDropped = traceEventsDropped;
@@ -556,6 +598,58 @@ mcSimulate(const McConfig &config)
     for (auto &r : result.perCore)
         r.profile = result.profile;
     return result;
+}
+
+} // namespace
+
+std::unique_ptr<vm::MemoryManager>
+makeAddressSpace(const sim::SimConfig &base,
+                 const std::vector<workloads::WorkloadSpec> &specs,
+                 std::uint64_t seed)
+{
+    std::uint64_t physBytes = base.physBytes;
+    if (physBytes == 0) {
+        std::uint64_t need = 0;
+        for (const auto &spec : specs) {
+            const std::uint64_t footprint = spec.footprintBytes();
+            need += footprint + footprint / 4;
+        }
+        physBytes = alignUp(need + 256_MiB, 2_MiB);
+    }
+    auto policy = base.mmu.osPolicy();
+    if (base.eagerRangesPerRegion > 0)
+        policy.eagerRangesPerRegion = base.eagerRangesPerRegion;
+    return std::make_unique<vm::MemoryManager>(policy, physBytes,
+                                               seed ^ 0x05f5e0ffull);
+}
+
+McResult
+mcSimulate(const McConfig &config)
+{
+    return runEngine(config, nullptr);
+}
+
+McResult
+mcReplay(const McConfig &config, const std::string &tracePath)
+{
+    return runEngine(config, &tracePath);
+}
+
+Result<McConfig::CoherenceMode>
+coherenceModeFromName(std::string_view name)
+{
+    if (name == "ipi")
+        return McConfig::CoherenceMode::Ipi;
+    if (name == "hw")
+        return McConfig::CoherenceMode::Hw;
+    return Status::error("unknown coherence mode '", name,
+                         "' (expected ipi or hw)");
+}
+
+std::string_view
+coherenceModeName(McConfig::CoherenceMode mode)
+{
+    return mode == McConfig::CoherenceMode::Hw ? "hw" : "ipi";
 }
 
 InstrCount

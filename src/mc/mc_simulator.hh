@@ -31,24 +31,24 @@
  *    core, and the initiating core is charged the broadcast's cycle
  *    and energy cost (config shootdown* knobs).
  *
- * With cores=1, a single-workload mix, and churn off (the defaults),
- * the scheduler degenerates to the single-core driver: the quantum
- * boundaries re-enter the same context (a free switch) and the
- * operation stream, harness wiring, and therefore every result bit
- * match sim::simulate() exactly. A regression test holds this
- * equivalence.
+ * This is the only simulation engine: sim::simulate() is a run at one
+ * core with a one-workload mix and churn off (the defaults), where the
+ * quantum boundaries re-enter the same context (a free switch), and
+ * sim::simulateFromTrace() is mcReplay() of such a run.
  */
 
 #ifndef EAT_MC_MC_SIMULATOR_HH
 #define EAT_MC_MC_SIMULATOR_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/simulator.hh"
 #include "stats/table.hh"
 #include "tlb/tlb_entry.hh"
+#include "vm/memory_manager.hh"
 #include "workloads/workload.hh"
 
 namespace eat::mc
@@ -174,6 +174,25 @@ struct McResult
 
 /** Run one multicore simulation. */
 McResult mcSimulate(const McConfig &config);
+
+/**
+ * Run @p config (one core, one workload) with the operation stream
+ * read from the trace at @p tracePath instead of generated. The
+ * workload still lays out the address space. The run ends at the end
+ * of the trace or of the measured window, whichever comes first.
+ */
+McResult mcReplay(const McConfig &config, const std::string &tracePath);
+
+/**
+ * The OS memory manager of one address space holding @p specs under
+ * @p base's organization policy, for a workload generator seeded with
+ * @p seed. The physical pool is sized from the footprints unless
+ * base.physBytes overrides it.
+ */
+std::unique_ptr<vm::MemoryManager>
+makeAddressSpace(const sim::SimConfig &base,
+                 const std::vector<workloads::WorkloadSpec> &specs,
+                 std::uint64_t seed);
 
 /** Per-core summary table (energy, MPKI, switches, shootdowns). */
 stats::TextTable mcPerCoreTable(const McResult &result);

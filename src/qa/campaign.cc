@@ -186,27 +186,17 @@ settleVerdict(const campaign::TaskOutcome &outcome,
         rec.status = "crash";
         rec.violations = "garbled child verdict";
         break;
-      case FailureClass::NonzeroExit:
-        rec.status = "crash";
-        rec.violations = "child exited with status " +
-                         std::to_string(outcome.exitCode);
-        break;
-      case FailureClass::Crashed:
-        rec.status = "crash";
-        rec.violations = "child killed by signal " +
-                         std::to_string(outcome.termSignal);
-        break;
       case FailureClass::TimedOut:
         rec.status = "timeout";
-        rec.violations = "scenario exceeded the " +
-                         std::to_string(options.timeoutSeconds) +
-                         "s watchdog";
+        rec.violations =
+            campaign::describeFailure(outcome, options.timeoutSeconds);
         break;
+      case FailureClass::NonzeroExit:
+      case FailureClass::Crashed:
       case FailureClass::SpawnFailed:
         rec.status = "crash";
-        rec.violations = outcome.spawnError.empty()
-                             ? "process spawn failed"
-                             : outcome.spawnError;
+        rec.violations =
+            campaign::describeFailure(outcome, options.timeoutSeconds);
         break;
     }
 

@@ -33,8 +33,9 @@ isPageTlbOrg(core::MmuOrg org)
 /**
  * Build a fault plan that the shadow checker can actually catch.
  *
- * ppn-flips on hot structures corrupt translations that re-hit, which
- * the Paddr check then flags; tag-flips and dropped invalidations
+ * ppn-flips on hot structures corrupt translations that re-hit (the
+ * consumed flips the fault-detection oracle keys on), which the Paddr
+ * check then flags; tag-flips and dropped invalidations
  * mostly degrade into extra (correct) walks, so they are added only as
  * low-probability garnish to exercise the injector paths, never as the
  * sole clause.
@@ -45,7 +46,7 @@ generateFaultSpec(core::MmuOrg org, Rng &rng)
     std::ostringstream spec;
     // Probability chosen so that even the smallest measured window
     // (~30k instructions, roughly a third of them memory operations)
-    // produces well over the detection threshold of corrupted fills.
+    // lands dozens of corrupted fills, most of which re-hit.
     const double pFlip = 3e-3 * std::pow(10.0, rng.real());
     // The flipped structure must be hot enough that corrupted entries
     // re-hit: under huge-page organizations the L2 TLB (4 KB entries
@@ -111,10 +112,9 @@ generateScenario(std::uint64_t campaignSeed, std::uint64_t index)
     if (isPageTlbOrg(s.org) && rng.chance(0.25))
         s.faultSpec = generateFaultSpec(s.org, rng);
 
-    // A quarter of scenarios exercise the multicore driver: context
-    // switching, ASID tagging (or --ctx-flush), shootdown churn, and —
-    // at one core with an explicit mix — the single-core-equivalence
-    // oracle.
+    // A quarter of scenarios exercise the multicore oracles: context
+    // switching, ASID tagging (or --ctx-flush), shootdown churn and
+    // per-core attribution — at one core with an explicit mix too.
     if (rng.chance(0.25)) {
         constexpr unsigned kCoreChoices[] = {1, 2, 4};
         s.cores = kCoreChoices[rng.below(3)];

@@ -11,8 +11,9 @@
  *    translation checks;
  *  - checker silence: with no fault plan, the differential checker
  *    reports zero mismatches;
- *  - fault detection: a fault plan that lands enough ppn-flips must
- *    make the checker fire (silent corruption is itself a bug);
+ *  - fault detection: once a lookup hits a ppn-flipped entry (a
+ *    consumed flip) the checker must fire (silent corruption is
+ *    itself a bug); flips never read may stay silent;
  *  - energy conservation: the accounted category totals equal the sum
  *    over per-structure rows, and the event-count identities
  *    (mem ops == hits by source, L2 lookups == L1 misses, walk memory

@@ -36,23 +36,6 @@ fmt(double v)
 }
 
 std::vector<std::string>
-metricCells(const SimResult &r)
-{
-    return {
-        std::to_string(r.stats.instructions),
-        fmt(r.stats.l1Mpki()),
-        fmt(r.stats.l2Mpki()),
-        fmt(r.missCyclesPerKiloInstr()),
-        fmt(r.energyPerKiloInstr()),
-        std::to_string(r.check.mismatches()),
-        std::to_string(r.inject.injected()),
-        "0", // shootdowns: a single-core run has no remote cores
-        fmt(r.profile.total()),
-        fmt(r.simKips()),
-    };
-}
-
-std::vector<std::string>
 metricCells(const mc::McResult &r)
 {
     std::uint64_t l1Misses = 0, l2Misses = 0, mismatches = 0,
@@ -91,8 +74,8 @@ struct RunOutcome
  * beyond that only takes the child down, which is the point.
  */
 RunOutcome
-executeRun(const SimConfig &cfg, bool deliberateFail, bool deliberateHang,
-           bool deliberateCrash)
+executeRun(const mc::McConfig &cfg, bool deliberateFail,
+           bool deliberateHang, bool deliberateCrash)
 {
     if (deliberateCrash) {
         // Testing aid for the retry/quarantine path: die on a signal,
@@ -109,13 +92,20 @@ executeRun(const SimConfig &cfg, bool deliberateFail, bool deliberateHang,
         }
         if (deliberateFail)
             eat_fatal("deliberate failure requested (fail-cell)");
-        const SimResult r = simulate(cfg);
+        const mc::McResult r = mc::mcSimulate(cfg);
+        std::uint64_t mismatches = 0;
+        std::string first;
+        for (const auto &c : r.perCore) {
+            mismatches += c.check.mismatches();
+            if (first.empty())
+                first = c.firstMismatch;
+        }
         // A mismatch under injection is a successful detection; a
         // mismatch without injection means the simulator is wrong.
-        if (cfg.faultSpec.empty() && r.check.mismatches() > 0) {
+        if (cfg.base.faultSpec.empty() && mismatches > 0) {
             out.error = "self-check failed: " +
-                        std::to_string(r.check.mismatches()) +
-                        " mismatches (first: " + r.firstMismatch + ")";
+                        std::to_string(mismatches) +
+                        " mismatches (first: " + first + ")";
             return out;
         }
         out.ok = true;
@@ -147,39 +137,6 @@ applyL3(const BatchOptions &options, core::MmuConfig &mmu)
     if (options.l3PromoteStreak > 0)
         mmu.l3Cache.promoteStreak = options.l3PromoteStreak;
     mmu.enableL3(options.l3Mode);
-}
-
-/** The multicore counterpart: one mix under one organization. */
-RunOutcome
-executeMcRun(const mc::McConfig &cfg, bool deliberateFail)
-{
-    RunOutcome out;
-    try {
-        if (deliberateFail)
-            eat_fatal("deliberate failure requested (fail-cell)");
-        const mc::McResult r = mc::mcSimulate(cfg);
-        std::uint64_t mismatches = 0;
-        for (const auto &c : r.perCore)
-            mismatches += c.check.mismatches();
-        if (cfg.base.faultSpec.empty() && mismatches > 0) {
-            std::string first;
-            for (const auto &c : r.perCore) {
-                if (!c.firstMismatch.empty()) {
-                    first = c.firstMismatch;
-                    break;
-                }
-            }
-            out.error = "self-check failed: " +
-                        std::to_string(mismatches) +
-                        " mismatches (first: " + first + ")";
-            return out;
-        }
-        out.ok = true;
-        out.metrics = metricCells(r);
-    } catch (const std::exception &e) {
-        out.error = e.what();
-    }
-    return out;
 }
 
 /** Pipe protocol: "OK\n" + one metric per line, or "ERR <message>\n". */
@@ -234,36 +191,23 @@ finishCell(const campaign::TaskOutcome &outcome, unsigned timeoutSeconds,
     row.metrics.clear();
     row.error.clear();
     switch (outcome.failure) {
-      case FailureClass::None: {
-        const RunOutcome out = deserialize(outcome.payload);
+      case FailureClass::None:
         row.status = "ok";
-        row.metrics = out.metrics;
+        row.metrics = deserialize(outcome.payload).metrics;
         break;
-      }
       case FailureClass::BadPayload:
         row.status = "failed";
         row.error = deserialize(outcome.payload).error;
         break;
-      case FailureClass::NonzeroExit:
-        row.status = "failed";
-        row.error = "child exited with status " +
-                    std::to_string(outcome.exitCode);
-        break;
-      case FailureClass::Crashed:
-        row.status = "failed";
-        row.error = "child killed by signal " +
-                    std::to_string(outcome.termSignal);
-        break;
       case FailureClass::TimedOut:
         row.status = "timeout";
-        row.error = "killed after " + std::to_string(timeoutSeconds) +
-                    "s watchdog";
+        row.error = campaign::describeFailure(outcome, timeoutSeconds);
         break;
+      case FailureClass::NonzeroExit:
+      case FailureClass::Crashed:
       case FailureClass::SpawnFailed:
         row.status = "failed";
-        row.error = outcome.spawnError.empty()
-                        ? "pipe() or fork() failed"
-                        : outcome.spawnError;
+        row.error = campaign::describeFailure(outcome, timeoutSeconds);
         break;
     }
     if (outcome.attempts > 1 && row.status != "ok") {
@@ -532,10 +476,11 @@ runBatch(const BatchOptions &options, std::ostream &log)
     // Rows live at their grid index from the start, so whatever order
     // the pool finishes cells in, the CSV is ordered by cell index —
     // identical to a serial sweep. An empty status marks a cell whose
-    // result is not in yet.
+    // result is not in yet. A single-core cell is a one-core run of a
+    // one-workload mix.
     struct GridCell
     {
-        const workloads::WorkloadSpec *spec;
+        std::vector<workloads::WorkloadSpec> mix;
         core::MmuOrg org;
     };
     std::vector<GridCell> cells;
@@ -545,8 +490,8 @@ runBatch(const BatchOptions &options, std::ostream &log)
         const std::size_t numRows = mcMode ? 1 : specs.size();
         for (std::size_t w = 0; w < numRows; ++w) {
             for (const auto org : orgs) {
-                cells.push_back(
-                    GridCell{mcMode ? nullptr : &specs[w], org});
+                cells.push_back(GridCell{
+                    mcMode ? mix : std::vector{specs[w]}, org});
                 BatchRow &row = rows[index];
                 row.workload = mcMode ? mixLabel : specs[w].name;
                 row.org = std::string(core::orgName(org));
@@ -616,42 +561,28 @@ runBatch(const BatchOptions &options, std::ostream &log)
             if (c == ',')
                 c = '+';
         }
+        mc::McConfig mcc;
+        mcc.base = options.base;
+        mcc.mix = cells[index].mix;
+        mcc.base.workload = mcc.mix.front();
+        mcc.base.mmu = core::MmuConfig::make(cells[index].org);
+        applyVm(options, mcc.base.mmu);
+        applyL3(options, mcc.base.mmu);
         if (mcMode) {
-            mc::McConfig mcc;
-            mcc.base = options.base;
-            mcc.base.workload = mix.front();
-            mcc.base.mmu = core::MmuConfig::make(cells[index].org);
-            applyVm(options, mcc.base.mmu);
-            applyL3(options, mcc.base.mmu);
             mcc.cores = options.cores;
-            mcc.mix = mix;
             mcc.sharedAddressSpace = options.mcShared;
             mcc.ctxFlush = options.mcCtxFlush;
             mcc.quantumInstructions = options.mcQuantum;
             mcc.remapInterval = options.mcRemapInterval;
             mcc.coherence = options.coherence;
-            if (!options.telemetryDir.empty()) {
-                mcc.base.telemetryPath = options.telemetryDir + "/" +
-                                         fileLabel + "_" + row.org +
-                                         ".jsonl";
-            }
-            tasks.push_back({cell, [mcc, wantFail] {
-                return serialize(executeMcRun(mcc, wantFail));
-            }});
-            continue;
         }
-        SimConfig cfg = options.base;
-        cfg.workload = *cells[index].spec;
-        cfg.mmu = core::MmuConfig::make(cells[index].org);
-        applyVm(options, cfg.mmu);
-        applyL3(options, cfg.mmu);
         if (!options.telemetryDir.empty()) {
-            cfg.telemetryPath = options.telemetryDir + "/" +
-                                fileLabel + "_" + row.org + ".jsonl";
+            mcc.base.telemetryPath = options.telemetryDir + "/" +
+                                     fileLabel + "_" + row.org + ".jsonl";
         }
-        tasks.push_back({cell, [cfg, wantFail, wantHang, wantCrash] {
+        tasks.push_back({cell, [mcc, wantFail, wantHang, wantCrash] {
             return serialize(
-                executeRun(cfg, wantFail, wantHang, wantCrash));
+                executeRun(mcc, wantFail, wantHang, wantCrash));
         }});
     }
 

@@ -56,7 +56,7 @@ class ProcessPool
         Done,        ///< child exited on its own; payload is complete
         Crashed,     ///< child died on a signal it did not expect
         TimedOut,    ///< watchdog killed it
-        SpawnFailed, ///< pipe() or fork() failed; the task never ran
+        SpawnFailed, ///< the child could not be created; never ran
     };
 
     struct TaskResult

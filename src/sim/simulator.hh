@@ -1,11 +1,12 @@
 /**
  * @file
- * The end-to-end simulation driver.
+ * Single-core simulation: the configuration and result of one run.
  *
- * Binds a workload model, the OS memory manager for the chosen
+ * A run binds a workload model, the OS memory manager for the chosen
  * configuration's policy, and the MMU; runs fast-forward plus a
  * measured window; and collects every statistic the paper's tables and
- * figures need.
+ * figures need. simulate() and simulateFromTrace() are the multicore
+ * engine (mc/mc_simulator.hh) at one core with a one-workload mix.
  */
 
 #ifndef EAT_SIM_SIMULATOR_HH
@@ -166,6 +167,7 @@ SimResult simulate(const SimConfig &config);
  * address space (it must be the spec the trace was recorded against,
  * with the same seed, so the OS lays out identical regions);
  * fastForward/simulate windows are ignored — the whole trace runs.
+ * The workload name gains a " (trace)" suffix.
  */
 SimResult simulateFromTrace(const SimConfig &config,
                             const std::string &tracePath);

@@ -9,15 +9,12 @@
  * which is why the paper charges the range TLB the energy of a page TLB
  * with twice the tag bits.
  *
- * The modeled hardware probes all entries in parallel; the simulator
- * resolves lookups by binary search over a lazily rebuilt index of the
- * valid slots sorted by (asid, vbase). Ranges cached from the OS range
- * table are disjoint per address space, so the predecessor range is
- * the only possible container and the search is outcome-identical to
- * the historical linear first-match scan. Fault injection can corrupt
- * a cached vlimit into overlapping a neighbor — where first-match
- * order *is* observable — so the first corruption permanently drops
- * the structure back to the linear scan.
+ * The modeled hardware probes all entries in parallel (a CAM); the
+ * simulator scans the slots in order and takes the first match. Ranges
+ * cached from the OS range table are disjoint per address space, so at
+ * most one entry can match — except after fault injection corrupts a
+ * cached vlimit into overlapping a neighbor, where the scan order
+ * decides.
  */
 
 #ifndef EAT_TLB_RANGE_TLB_HH
@@ -74,8 +71,7 @@ class RangeTlb
      * Fault-injection hook (check::FaultInjector and tests only):
      * corrupt one pseudo-random valid entry by flipping a bit of its
      * virtual bounds (@p flipTag) or of its physical base (!@p flipTag).
-     * Also retires the binary-search index for the rest of this TLB's
-     * life (see file comment). @return false if no entry is valid.
+     * @return false if no entry is valid.
      */
     bool corruptRandomEntry(std::uint64_t rnd, bool flipTag);
 
@@ -83,28 +79,28 @@ class RangeTlb
     std::uint64_t misses() const { return misses_; }
     std::uint64_t fills() const { return fills_; }
 
+    /** Lookups that hit an entry whose physical base differs from the
+     *  value it was filled with (a consumed ppn-flip). */
+    std::uint64_t ppnFlipsConsumed() const { return ppnFlipsConsumed_; }
+
   private:
     struct Slot
     {
-        bool valid = false;
+        /** Bit 0: valid. Bits 1-4: the pbase bits 12-15 flipped since
+         *  the fill (nonzero = the entry returns a wrong paddr). */
+        std::uint8_t valid = 0;
         vm::RangeTranslation range{};
         std::uint64_t stamp = 0;
         Asid asid = 0;
     };
 
-    void rebuildIndex();
-
     std::string name_;
     std::vector<Slot> slots_;
-    /** Valid slot indices sorted by (asid, range.vbase); rebuilt
-     *  lazily when indexDirty_. Unused once corrupted_. */
-    std::vector<unsigned> index_;
-    bool indexDirty_ = true;
-    bool corrupted_ = false;
     std::uint64_t clock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t fills_ = 0;
+    std::uint64_t ppnFlipsConsumed_ = 0;
 };
 
 } // namespace eat::tlb

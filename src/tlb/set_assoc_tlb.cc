@@ -77,6 +77,7 @@ SetAssocTlb::lookupWithShift(Addr vaddr, unsigned idxShift, Asid asid)
 
     stamps_[base + hitWay] = ++clock_;
     ++hits_;
+    ppnFlipsConsumed_ += valid[hitWay] > 1;
     return TlbLookupResult{true, older, entryAt(base + hitWay)};
 }
 
@@ -248,8 +249,9 @@ SetAssocTlb::corruptRandomEntry(std::uint64_t rnd, bool flipTag)
             vtags_[i] = vbases_[i] >> shifts_[i];
         } else {
             // Flip a PPN bit: the next hit returns a wrong paddr.
-            const unsigned bit = shifts_[i] + (rnd >> 32) % 4;
-            pbases_[i] ^= Addr{1} << bit;
+            const unsigned flip = (rnd >> 32) % 4;
+            pbases_[i] ^= Addr{1} << (shifts_[i] + flip);
+            valid_[i] ^= static_cast<std::uint8_t>(2u << flip);
         }
         return true;
     }

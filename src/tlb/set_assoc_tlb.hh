@@ -131,6 +131,10 @@ class SetAssocTlb
     std::uint64_t fills() const { return fills_; }
     std::uint64_t resizes() const { return resizes_; }
 
+    /** Lookups that hit an entry whose PPN differs from the value it
+     *  was filled with (a consumed ppn-flip). */
+    std::uint64_t ppnFlipsConsumed() const { return ppnFlipsConsumed_; }
+
     /** Number of currently valid entries (for tests). */
     unsigned validCount() const;
 
@@ -190,7 +194,10 @@ class SetAssocTlb
     // Parallel per-slot arrays, set-major: slot i = set * ways_ + way.
     // vtags_ caches vbase >> shift so the probe's tag compare is one
     // shift of the probe address and one load, never a recompute of
-    // the entry's own alignment.
+    // the entry's own alignment. valid_ bit 0 is the valid bit; bits
+    // 1-4 record which of the four injectable PPN bits were flipped
+    // since the fill, so a hit knows without a branch whether it
+    // returned a corrupted translation.
     std::vector<std::uint8_t> valid_;
     std::vector<std::uint8_t> shifts_;
     std::vector<Asid> asids_;
@@ -207,6 +214,7 @@ class SetAssocTlb
     std::uint64_t misses_ = 0;
     std::uint64_t fills_ = 0;
     std::uint64_t resizes_ = 0;
+    std::uint64_t ppnFlipsConsumed_ = 0;
 };
 
 } // namespace eat::tlb

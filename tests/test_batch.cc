@@ -129,6 +129,26 @@ TEST_F(BatchTest, WatchdogKillsAHangingRun)
     EXPECT_TRUE(sawTimeout);
 }
 
+TEST_F(BatchTest, CrashAidReachesAMixCell)
+{
+    // Mix cells run through the one cell executor, testing aids
+    // included: the crashed cell fails, its sibling completes.
+    auto options = quickOptions();
+    options.cores = 2;
+    options.failCell = "mcf,astar:RMM:crash";
+    std::ostringstream log;
+    const auto r = runBatch(options, log);
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    EXPECT_EQ(r.value().ok, 1u);
+    EXPECT_EQ(r.value().failed, 1u);
+
+    const auto lines = csvLines();
+    ASSERT_EQ(lines.size(), 3u);
+    EXPECT_NE(lines[2].find("RMM,failed"), std::string::npos) << lines[2];
+    EXPECT_NE(lines[2].find("child killed by signal 9"), std::string::npos)
+        << lines[2];
+}
+
 TEST_F(BatchTest, ResumeReusesCompletedRows)
 {
     auto options = quickOptions();
@@ -346,8 +366,12 @@ TEST_F(BatchTest, HangingCellInAFullPoolCostsOnlyThatCell)
     for (std::size_t i = 1; i < lines.size(); ++i) {
         if (lines[i].find(",ok,") != std::string::npos)
             ++okRows;
-        if (lines[i].find("mcf,THP,timeout") == 0)
+        if (lines[i].find("mcf,THP,timeout") == 0) {
             ++timeoutRows;
+            EXPECT_EQ(splitCells(lines[i]).back(),
+                      "killed by the 2s watchdog")
+                << lines[i];
+        }
     }
     EXPECT_EQ(okRows, 3u);
     EXPECT_EQ(timeoutRows, 1u);

@@ -10,11 +10,13 @@
  * no extra wiring.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -225,6 +227,36 @@ TEST(QaOracles, EachOracleIsListedOnceInAVerdict)
                                              verdict.checked.end());
         EXPECT_EQ(distinct.size(), verdict.checked.size()) << s.describe();
     }
+}
+
+TEST(QaOracles, FaultDetectionAllowsFlipsThatAreNeverRead)
+{
+    // Generated scenarios whose L2 ppn-flips land in entries no lookup
+    // hits again: 79 flips in (77, 37), 295 in (3, 296). Silence is the
+    // correct outcome there.
+    for (const auto &[seed, id] :
+         {std::pair<std::uint64_t, std::uint64_t>{77, 37}, {3, 296}}) {
+        const auto s = qa::generateScenario(seed, id);
+        const auto verdict = qa::runOracles(s);
+        EXPECT_TRUE(verdict.passed())
+            << s.describe() << ": " << verdict.violations.front();
+    }
+}
+
+TEST(QaOracles, FaultDetectionJudgesConsumedFlips)
+{
+    const auto s = qa::loadScenario(std::string(EAT_CORPUS_DIR) +
+                                    "/seed-fault-detect.json");
+    ASSERT_TRUE(s.ok()) << s.status().message();
+    const auto r = sim::simulate(s.value().toSimConfig());
+    EXPECT_GT(r.inject.ppnFlipsConsumed, 0u);
+    EXPECT_GT(r.check.mismatches(), 0u);
+
+    const auto verdict = qa::runOracles(s.value());
+    EXPECT_TRUE(verdict.passed());
+    EXPECT_NE(std::find(verdict.checked.begin(), verdict.checked.end(),
+                        "fault-detection"),
+              verdict.checked.end());
 }
 
 TEST(QaOracles, SelfTestProvesTheOraclesHaveTeeth)

@@ -80,192 +80,43 @@ TEST(RangeTlb, RejectsZeroEntries)
     EXPECT_THROW(RangeTlb("rt", 0), std::logic_error);
 }
 
-/**
- * The historical linear first-match scan, kept verbatim as the
- * reference model for the binary-search lookup: same slot array, same
- * LRU stamps, same counters, same eviction choice.
- */
-class LinearRangeTlb
+TEST(RangeTlb, CountsHitsOnPpnFlippedEntries)
 {
-  public:
-    explicit LinearRangeTlb(unsigned entries) : slots_(entries) {}
+    RangeTlb t("rt", 4);
+    t.fill({0x10000, 0x20000, 0x100000});
 
-    std::optional<RangeTranslation>
-    lookup(Addr vaddr, Asid asid)
-    {
-        for (auto &s : slots_) {
-            if (s.valid && s.asid == asid && s.range.contains(vaddr)) {
-                s.stamp = ++clock_;
-                ++hits_;
-                return s.range;
-            }
-        }
-        ++misses_;
-        return std::nullopt;
-    }
+    ASSERT_TRUE(t.corruptRandomEntry(0, /*flipTag=*/false)); // bit 12
+    EXPECT_EQ(t.ppnFlipsConsumed(), 0u);
+    EXPECT_EQ(t.lookup(0x10000)->pbase, 0x101000u);
+    EXPECT_EQ(t.ppnFlipsConsumed(), 1u);
 
-    bool
-    fill(const RangeTranslation &range, Asid asid)
-    {
-        Slot *victim = nullptr;
-        for (auto &s : slots_) {
-            if (s.valid && s.asid == asid && s.range == range) {
-                s.stamp = ++clock_;
-                return false;
-            }
-            if (!s.valid && !victim)
-                victim = &s;
-        }
-        bool evicted = false;
-        if (!victim) {
-            victim = &slots_[0];
-            for (auto &s : slots_) {
-                if (s.stamp < victim->stamp)
-                    victim = &s;
-            }
-            evicted = true;
-        }
-        victim->valid = true;
-        victim->range = range;
-        victim->stamp = ++clock_;
-        victim->asid = asid;
-        ++fills_;
-        return evicted;
-    }
+    // Flipping the same bit again restores the entry.
+    ASSERT_TRUE(t.corruptRandomEntry(0, /*flipTag=*/false));
+    EXPECT_EQ(t.lookup(0x10000)->pbase, 0x100000u);
+    EXPECT_EQ(t.ppnFlipsConsumed(), 1u);
 
-    unsigned
-    invalidateRange(Addr vbase, Addr vlimit, Asid asid)
-    {
-        unsigned n = 0;
-        for (auto &s : slots_) {
-            if (s.valid && s.asid == asid && s.range.vbase < vlimit &&
-                s.range.vlimit > vbase) {
-                s.valid = false;
-                ++n;
-            }
-        }
-        return n;
-    }
-
-    unsigned
-    invalidateAsid(Asid asid)
-    {
-        unsigned n = 0;
-        for (auto &s : slots_) {
-            if (s.valid && s.asid == asid) {
-                s.valid = false;
-                ++n;
-            }
-        }
-        return n;
-    }
-
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
-
-  private:
-    struct Slot
-    {
-        bool valid = false;
-        RangeTranslation range{};
-        std::uint64_t stamp = 0;
-        Asid asid = 0;
-    };
-    std::vector<Slot> slots_;
-    std::uint64_t clock_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t fills_ = 0;
-};
-
-/**
- * Differential check of the binary-search lookup against the linear
- * scan over a long pseudo-random op sequence: disjoint-per-ASID
- * ranges (the invariant the MMU maintains), multiple ASIDs, fills,
- * shootdown invalidations, and full-ASID flushes.
- */
-TEST(RangeTlb, BinarySearchMatchesLinearScan)
-{
-    RangeTlb dut("rt", 8);
-    LinearRangeTlb ref(8);
-
-    // Stable chunk mapping per (asid, chunk): refills always reinstall
-    // the same translation, keeping cached ranges disjoint per ASID.
-    constexpr Addr kChunk = 0x10000;
-    auto rangeOf = [](Asid asid, unsigned chunk) {
-        const Addr vbase = chunk * kChunk;
-        const Addr pbase =
-            0x1000000u + (asid * 64u + chunk) * kChunk;
-        return RangeTranslation{vbase, vbase + kChunk, pbase};
-    };
-
-    std::uint64_t state = 0x9e3779b97f4a7c15ull;
-    auto rnd = [&state]() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        return state;
-    };
-
-    for (unsigned i = 0; i < 20000; ++i) {
-        const Asid asid = static_cast<Asid>(rnd() % 3);
-        const unsigned chunk = rnd() % 16;
-        switch (rnd() % 8) {
-          case 0:
-            EXPECT_EQ(dut.fill(rangeOf(asid, chunk), asid),
-                      ref.fill(rangeOf(asid, chunk), asid));
-            break;
-          case 1: {
-            const Addr vbase = chunk * kChunk;
-            EXPECT_EQ(dut.invalidateRange(vbase, vbase + kChunk, asid),
-                      ref.invalidateRange(vbase, vbase + kChunk, asid));
-            break;
-          }
-          case 2:
-            if (rnd() % 16 == 0) {
-                EXPECT_EQ(dut.invalidateAsid(asid),
-                          ref.invalidateAsid(asid));
-            }
-            break;
-          default: {
-            // Probe interior, boundary, and just-outside addresses.
-            const Addr vaddr =
-                chunk * kChunk + (rnd() % (kChunk + 0x100));
-            const auto got = dut.lookup(vaddr, asid);
-            const auto want = ref.lookup(vaddr, asid);
-            ASSERT_EQ(got.has_value(), want.has_value())
-                << "op " << i << " vaddr " << vaddr;
-            if (got) {
-                EXPECT_EQ(got->vbase, want->vbase);
-                EXPECT_EQ(got->vlimit, want->vlimit);
-                EXPECT_EQ(got->paddr(vaddr), want->paddr(vaddr));
-            }
-            break;
-          }
-        }
-    }
-    EXPECT_EQ(dut.hits(), ref.hits());
-    EXPECT_EQ(dut.misses(), ref.misses());
+    // A vlimit (tag) flip is not a ppn-flip.
+    ASSERT_TRUE(t.corruptRandomEntry(0, /*flipTag=*/true));
+    EXPECT_TRUE(t.lookup(0x10000).has_value());
+    EXPECT_EQ(t.ppnFlipsConsumed(), 1u);
 }
 
-/** Predecessor edges across ASID boundaries in the sorted index: the
- *  last range of ASID a must not serve ASID a+1's lookups. */
-TEST(RangeTlb, BinarySearchAsidBoundaries)
+/** ASID tags keep address spaces apart: a range cached for one ASID
+ *  must not serve another ASID's lookups of the same addresses. */
+TEST(RangeTlb, AsidBoundaries)
 {
     RangeTlb t("rt", 4);
     t.fill({0x10000, 0x20000, 0x100000}, 1);
     t.fill({0x30000, 0x40000, 0x200000}, 2);
 
-    // ASID 2 at an address only ASID 1 maps: the predecessor in the
-    // (asid, vbase) order is ASID 1's range — must miss.
+    // ASID 2 at an address only ASID 1 maps: must miss.
     EXPECT_FALSE(t.lookup(0x10000, 2).has_value());
-    // ASID 1 at an address only ASID 2 maps: predecessor is ASID 1's
-    // own (non-containing) range — must miss.
+    // ASID 1 at an address only ASID 2 maps: must miss.
     EXPECT_FALSE(t.lookup(0x30000, 1).has_value());
     // Each ASID still hits its own range, including at vbase.
     EXPECT_TRUE(t.lookup(0x10000, 1).has_value());
     EXPECT_TRUE(t.lookup(0x30000, 2).has_value());
-    // Below the whole index for the smallest ASID: no predecessor.
+    // Below every cached range: a miss.
     EXPECT_FALSE(t.lookup(0x0, 1).has_value());
 }
 

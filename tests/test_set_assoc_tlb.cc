@@ -229,6 +229,31 @@ TEST(SetAssocTlb, MixedSizeLookupWithIndexShift)
     EXPECT_FALSE(t.lookupWithShift(64_MiB + 12345, 12).hit);
 }
 
+TEST(SetAssocTlb, CountsHitsOnPpnFlippedEntries)
+{
+    SetAssocTlb t("t", 64, 4, 12);
+    t.fill(entry4K(1));
+    const std::uint64_t bit13 = std::uint64_t{1} << 32; // PPN bit 13
+
+    // A flip is counted once per hit that returns it, not when it lands.
+    ASSERT_TRUE(t.corruptRandomEntry(bit13, /*flipTag=*/false));
+    EXPECT_EQ(t.ppnFlipsConsumed(), 0u);
+    EXPECT_EQ(t.lookup(0x1000).entry.pbase, 0x102000u);
+    EXPECT_EQ(t.lookup(0x1000).entry.pbase, 0x102000u);
+    EXPECT_EQ(t.ppnFlipsConsumed(), 2u);
+
+    // A second flip of the same bit restores the entry...
+    ASSERT_TRUE(t.corruptRandomEntry(bit13, /*flipTag=*/false));
+    EXPECT_TRUE(t.lookup(0x1000).hit);
+    EXPECT_EQ(t.ppnFlipsConsumed(), 2u);
+
+    // ...and a refill replaces a corrupted one.
+    ASSERT_TRUE(t.corruptRandomEntry(0, /*flipTag=*/false));
+    t.fill(entry4K(1));
+    EXPECT_EQ(t.lookup(0x1000).entry.pbase, 0x100000u);
+    EXPECT_EQ(t.ppnFlipsConsumed(), 2u);
+}
+
 TEST(FullyAssocTlb, IsOneSetOfAllWays)
 {
     FullyAssocTlb t("fa", 4, 30);

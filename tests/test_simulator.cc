@@ -13,6 +13,7 @@
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/telemetry.hh"
+#include "qa/oracles.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
 #include "workloads/suite.hh"
@@ -273,6 +274,7 @@ TEST(Simulator, TraceReplayMatchesDirectSimulation)
     const std::string path =
         test::scratchDir() + "eat_sim_trace_test.bin";
     auto cfg = quickConfig("omnetpp", core::MmuOrg::Thp, 400'000);
+    cfg.timelineInterval = 100'000;
 
     const auto direct = simulate(cfg);
     const auto recorded = recordTrace(cfg, path);
@@ -280,11 +282,12 @@ TEST(Simulator, TraceReplayMatchesDirectSimulation)
     const auto replayed = simulateFromTrace(cfg, path);
 
     // Identical address space + identical operation stream => identical
-    // hardware behaviour.
-    EXPECT_EQ(replayed.stats.memOps, direct.stats.memOps);
-    EXPECT_EQ(replayed.stats.l1Misses, direct.stats.l1Misses);
-    EXPECT_EQ(replayed.stats.l2Misses, direct.stats.l2Misses);
-    EXPECT_DOUBLE_EQ(replayed.totalEnergy(), direct.totalEnergy());
+    // hardware behaviour, MPKI timeline included.
+    EXPECT_EQ(replayed.workloadName, "omnetpp (trace)");
+    EXPECT_EQ(qa::resultDigest(replayed), qa::resultDigest(direct));
+    ASSERT_EQ(direct.mpkiTimeline.numSamples(), 4u);
+    EXPECT_EQ(replayed.mpkiTimeline.samples(),
+              direct.mpkiTimeline.samples());
 }
 
 TEST(Simulator, StaticEnergyFieldsPopulated)
