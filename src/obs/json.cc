@@ -1,77 +1,124 @@
 #include "obs/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <ostream>
 
 namespace eat::obs
 {
 
+namespace
+{
+
+// %.17g round-trips any double but is noisy; %.12g keeps every digit
+// our picojoule/MPKI magnitudes can meaningfully carry.
+constexpr int kPrecision = 12;
+constexpr int kExactPrecision = 17;
+
+/** Bytes writeQuoted() may need for @p s: every byte escaped. */
+constexpr std::size_t
+quotedRoom(std::string_view s)
+{
+    return 2 + 6 * s.size();
+}
+
+/** Bytes writeDouble() and writeInt() may need: "-d.<16 digits>e-308"
+ *  is 24, and 2^64 - 1 is 20 digits. */
+constexpr std::size_t kNumberRoom = 32;
+
+/** Write @p s at @p p as a quoted, escaped JSON string literal.
+ *  @return one past the last byte written. */
+char *
+writeQuoted(char *p, std::string_view s)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    *p++ = '"';
+    for (const char c : s) {
+        const auto u = static_cast<unsigned char>(c);
+        if (u >= 0x20 && c != '"' && c != '\\') {
+            *p++ = c;
+            continue;
+        }
+        *p++ = '\\';
+        switch (c) {
+          case '"': *p++ = '"'; break;
+          case '\\': *p++ = '\\'; break;
+          case '\n': *p++ = 'n'; break;
+          case '\r': *p++ = 'r'; break;
+          case '\t': *p++ = 't'; break;
+          default:
+            *p++ = 'u';
+            *p++ = '0';
+            *p++ = '0';
+            *p++ = kHex[u >> 4];
+            *p++ = kHex[u & 0xf];
+        }
+    }
+    *p++ = '"';
+    return p;
+}
+
+/** Write @p v at @p p in chars_format::general at @p precision: the
+ *  bytes of printf's %.<precision>g. Non-finite values become 0, since
+ *  JSON has no Inf/NaN literal. @return one past the last byte. */
+char *
+writeDouble(char *p, double v, int precision)
+{
+    if (!std::isfinite(v))
+        v = 0.0;
+    return std::to_chars(p, p + kNumberRoom, v, std::chars_format::general,
+                         precision)
+        .ptr;
+}
+
+template <typename Int>
+char *
+writeInt(char *p, Int v)
+{
+    return std::to_chars(p, p + kNumberRoom, v).ptr;
+}
+
+} // namespace
+
 std::string
 jsonQuote(std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
+    std::string out(quotedRoom(s), '\0');
+    out.resize(writeQuoted(out.data(), s) - out.data());
     return out;
 }
 
 std::string
 jsonNumber(double v)
 {
-    if (!std::isfinite(v))
-        v = 0.0; // JSON has no Inf/NaN literal
-    char buf[64];
-    // %.17g round-trips any double but is noisy; %.12g keeps every
-    // digit our picojoule/MPKI magnitudes can meaningfully carry.
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    return buf;
+    char buf[kNumberRoom];
+    return std::string(buf, writeDouble(buf, v, kPrecision));
 }
 
 std::string
 jsonNumberExact(double v)
 {
-    if (!std::isfinite(v))
-        v = 0.0; // JSON has no Inf/NaN literal
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    char buf[kNumberRoom];
+    return std::string(buf, writeDouble(buf, v, kExactPrecision));
 }
 
-void
-JsonObject::key(std::string_view k)
+char *
+JsonObject::key(std::string_view k, std::size_t n)
 {
-    if (!body_.empty())
-        body_ += ',';
-    body_ += jsonQuote(k);
-    body_ += ':';
+    char *p = room(1 + quotedRoom(k) + 1 + n);
+    if (!empty())
+        *p++ = ',';
+    p = writeQuoted(p, k);
+    *p++ = ':';
+    return p;
 }
 
 void
 JsonObject::put(std::string_view k, std::string_view value)
 {
-    key(k);
-    body_ += jsonQuote(value);
+    commit(writeQuoted(key(k, quotedRoom(value)), value));
 }
 
 void
@@ -83,29 +130,25 @@ JsonObject::put(std::string_view k, const char *value)
 void
 JsonObject::put(std::string_view k, bool value)
 {
-    key(k);
-    body_ += value ? "true" : "false";
+    putRaw(k, value ? "true" : "false");
 }
 
 void
 JsonObject::put(std::string_view k, double value)
 {
-    key(k);
-    body_ += jsonNumber(value);
+    commit(writeDouble(key(k, kNumberRoom), value, kPrecision));
 }
 
 void
 JsonObject::put(std::string_view k, std::uint64_t value)
 {
-    key(k);
-    body_ += std::to_string(value);
+    commit(writeInt(key(k, kNumberRoom), value));
 }
 
 void
 JsonObject::put(std::string_view k, std::int64_t value)
 {
-    key(k);
-    body_ += std::to_string(value);
+    commit(writeInt(key(k, kNumberRoom), value));
 }
 
 void
@@ -123,21 +166,33 @@ JsonObject::put(std::string_view k, unsigned value)
 void
 JsonObject::putExact(std::string_view k, double value)
 {
-    key(k);
-    body_ += jsonNumberExact(value);
+    commit(writeDouble(key(k, kNumberRoom), value, kExactPrecision));
 }
 
 void
 JsonObject::putRaw(std::string_view k, std::string_view json)
 {
-    key(k);
-    body_ += json;
+    char *p = key(k, json.size());
+    commit(std::copy(json.begin(), json.end(), p));
 }
 
 std::string
 JsonObject::str() const
 {
-    return "{" + body_ + "}";
+    std::string out;
+    out.reserve(len_ + 1);
+    out.append(buf_.data(), len_);
+    out += '}';
+    return out;
+}
+
+void
+JsonObject::writeLine(std::ostream &os)
+{
+    char *p = room(2);
+    p[0] = '}';
+    p[1] = '\n';
+    os.write(buf_.data(), static_cast<std::streamsize>(len_ + 2));
 }
 
 const JsonValue *

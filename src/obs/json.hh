@@ -17,8 +17,9 @@
 #ifndef EAT_OBS_JSON_HH
 #define EAT_OBS_JSON_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,12 +36,21 @@ std::string jsonQuote(std::string_view s);
  *  non-finite values become 0, which JSON cannot express). */
 std::string jsonNumber(double v);
 
-/** Like jsonNumber() but with %.17g, which round-trips every finite
- *  double bit-exactly. Used where a reader must reconstruct the
+/** Like jsonNumber() but at precision 17, which round-trips every
+ *  finite double bit-exactly. Used where a reader must reconstruct the
  *  original value (provenance pJ, telemetry dynamic_pj). */
 std::string jsonNumberExact(double v);
 
-/** Incrementally builds one JSON object ("{...}"). */
+/**
+ * Incrementally builds one JSON object ("{...}") in its own buffer:
+ * keys and strings are escaped in place and numbers are printed with
+ * std::to_chars, so a reused object (clear()) builds line after line
+ * without allocating.
+ *
+ * Doubles print at precision 12 (put) or 17 (putExact) in
+ * chars_format::general, which is byte-for-byte printf's %.12g and
+ * %.17g in the C locale; integers print as std::to_string does.
+ */
 class JsonObject
 {
   public:
@@ -59,14 +69,36 @@ class JsonObject
     /** Insert pre-rendered JSON (a nested object/array) verbatim. */
     void putRaw(std::string_view key, std::string_view json);
 
-    bool empty() const { return body_.empty(); }
+    bool empty() const { return len_ == 1; }
+
+    /** Drop every member, keeping the buffer. */
+    void clear() { len_ = 1; }
 
     /** Render "{...}". */
     std::string str() const;
 
+    /** Write "{...}\n" to @p os in one write() call. */
+    void writeLine(std::ostream &os);
+
   private:
-    void key(std::string_view k);
-    std::string body_;
+    /** Make room for @p n more bytes; @return where they go. */
+    char *
+    room(std::size_t n)
+    {
+        if (len_ + n > buf_.size())
+            buf_.resize(std::max(len_ + n, 2 * buf_.size()));
+        return buf_.data() + len_;
+    }
+
+    /** Room for @p n value bytes after key @p k; writes the key.
+     *  @return where the value goes. */
+    char *key(std::string_view k, std::size_t n);
+
+    /** Everything before @p end is written. */
+    void commit(const char *end) { len_ = end - buf_.data(); }
+
+    std::string buf_ = "{"; ///< [0, len_) = "{" + members, unterminated
+    std::size_t len_ = 1;
 };
 
 /** A parsed JSON value (strict; no comments, no trailing commas). */

@@ -1,9 +1,9 @@
 #include "obs/provenance.hh"
 
+#include <cmath>
 #include <cstdint>
 
 #include "base/logging.hh"
-#include "obs/json.hh"
 
 namespace eat::obs
 {
@@ -73,12 +73,12 @@ provKindFromName(std::string_view name)
 std::size_t
 provLog2Bucket(double v)
 {
-    std::size_t bucket = 0;
-    while (v >= 1.0 && bucket < 63) {
-        v /= 2.0;
-        ++bucket;
-    }
-    return bucket;
+    // Halving a double >= 1 is exact, so it takes 1 + ilogb(v)
+    // halvings to bring v below 1.
+    if (!(v >= 1.0))
+        return 0; // v < 1 or NaN
+    const int exponent = std::ilogb(v); // INT_MAX for +Inf
+    return exponent >= 62 ? 63 : static_cast<std::size_t>(exponent) + 1;
 }
 
 PicoJoules
@@ -126,9 +126,15 @@ ProvenanceSink::beginTranslation(std::uint64_t instr, unsigned core,
                                  std::uint16_t asid, std::uint64_t vaddr)
 {
     ++summary_.translations;
-    sampled_ = (summary_.translations - 1) % summary_.sampleEvery == 0;
-    if (sampled_)
+    // Sample the first translation and every sampleEvery-th after it.
+    const bool sampled = sampleCountdown_ == 0;
+    if (sampled) {
+        sampleCountdown_ = summary_.sampleEvery - 1;
         ++summary_.translationsSampled;
+    } else {
+        --sampleCountdown_;
+    }
+    writing_ = out_ && sampled;
     inTranslation_ = true;
     curInstr_ = instr;
     curVaddr_ = vaddr;
@@ -145,20 +151,10 @@ ProvenanceSink::accumulate(const ProvEvent &e)
     ProvCoreTotals &ct = coreTotals(e.core);
     switch (e.kind) {
       case ProvKind::Probe:
-      case ProvKind::WalkRef: {
-        ProvStructTotals &s =
-            ct.structs[static_cast<std::size_t>(e.structId)];
-        ++s.reads;
-        s.readPj += e.pj;
+      case ProvKind::Fill:
+      case ProvKind::WalkRef:
+        accumulatePath(e, ct);
         break;
-      }
-      case ProvKind::Fill: {
-        ProvStructTotals &s =
-            ct.structs[static_cast<std::size_t>(e.structId)];
-        ++s.writes;
-        s.writePj += e.pj;
-        break;
-      }
       case ProvKind::Evict:
         ++ct.structs[static_cast<std::size_t>(e.structId)].evicts;
         break;
@@ -175,20 +171,13 @@ ProvenanceSink::accumulate(const ProvEvent &e)
       default:
         break;
     }
-    if (inTranslation_ &&
-        (e.kind == ProvKind::Probe || e.kind == ProvKind::Fill ||
-         e.kind == ProvKind::WalkRef)) {
-        curPj_ += e.pj;
-        if (e.kind == ProvKind::WalkRef &&
-            e.structId == ProvStruct::WalkMem)
-            ++curWalkRefs_;
-    }
 }
 
 void
 ProvenanceSink::writeEvent(const ProvEvent &e)
 {
-    JsonObject o;
+    JsonObject &o = line_;
+    o.clear();
     o.put("schema", kProvEventSchema);
     o.put("v", kProvEventVersion);
     o.put("i", e.instr);
@@ -246,15 +235,15 @@ ProvenanceSink::writeEvent(const ProvEvent &e)
       default:
         break;
     }
-    *out_ << o.str() << "\n";
+    o.writeLine(*out_);
     ++summary_.eventsWritten;
 }
 
 void
-ProvenanceSink::emit(const ProvEvent &e)
+ProvenanceSink::emitSlow(const ProvEvent &e)
 {
     accumulate(e);
-    if (out_ && (isControl(e.kind) || (inTranslation_ && sampled_)))
+    if (out_ && (isControl(e.kind) || (inTranslation_ && writing_)))
         writeEvent(e);
 }
 
@@ -279,8 +268,9 @@ ProvenanceSink::endTranslation(std::string_view source,
     }
 
     ++summary_.events;
-    if (out_ && sampled_) {
-        JsonObject o;
+    if (writing_) {
+        JsonObject &o = line_;
+        o.clear();
         o.put("schema", kProvEventSchema);
         o.put("v", kProvEventVersion);
         o.put("i", curInstr_);
@@ -292,7 +282,7 @@ ProvenanceSink::endTranslation(std::string_view source,
         if (psShift)
             o.put("ps", unsigned(psShift));
         o.putExact("pj", curPj_);
-        *out_ << o.str() << "\n";
+        o.writeLine(*out_);
         ++summary_.eventsWritten;
     }
 }

@@ -15,9 +15,9 @@
  * energy per (core, structure) is bit-identical to the aggregate
  * energy meters and to the telemetry dynamic_pj rows. The sink
  * accumulates in the same IEEE order the meters charge, and the JSONL
- * writer uses round-trip (%.17g) formatting, so reconciliation is an
- * exact == — no epsilon. The qa oracle and tools/eatreport both check
- * this identity.
+ * writer prints with std::to_chars at precision 17 (the bytes of
+ * %.17g, which round-trips), so reconciliation is an exact == — no
+ * epsilon. The qa oracle and tools/eatreport both check this identity.
  *
  * Sampling (1-in-N translations) drops *written* path events but still
  * accumulates every event into the in-memory summary, so summary
@@ -47,6 +47,7 @@
 
 #include "base/status.hh"
 #include "base/types.hh"
+#include "obs/json.hh"
 #include "obs/prov_ids.hh"
 #include "stats/histogram.hh"
 
@@ -138,8 +139,9 @@ struct ProvSummary
     stats::Histogram shootdownFanout; ///< log2(entries invalidated)
 };
 
-/** Bucket helper shared by the sink and eatreport: 0 stays 0,
- *  otherwise 1 + floor(log2(v)). */
+/** Bucket helper shared by the sink and eatreport: 0 for every v < 1
+ *  and for NaN, otherwise 1 + floor(log2(v)) capped at 63 (+Inf is
+ *  63). Equal to the number of halvings that take v below 1. */
 std::size_t provLog2Bucket(double v);
 
 /**
@@ -167,7 +169,19 @@ class ProvenanceSink
     /** Record one event. Accumulates always; writes JSONL when the
      *  enclosing translation is sampled or the kind is a control
      *  event. */
-    void emit(const ProvEvent &event);
+    void
+    emit(const ProvEvent &event)
+    {
+        // Inline fast path: a probe, fill or walk reference of an open
+        // translation that is not written, from a core already seen.
+        if (inTranslation_ && !writing_ && isPathEvent(event.kind) &&
+            event.core < summary_.cores.size()) {
+            ++summary_.events;
+            accumulatePath(event, summary_.cores[event.core]);
+            return;
+        }
+        emitSlow(event);
+    }
 
     /** Close the open translation: emits its Translation record and
      *  updates the per-translation histograms. @p source names who
@@ -184,6 +198,36 @@ class ProvenanceSink
     Status close();
 
   private:
+    static bool
+    isPathEvent(ProvKind k)
+    {
+        return k == ProvKind::Probe || k == ProvKind::Fill ||
+               k == ProvKind::WalkRef;
+    }
+
+    /** Add a Probe/Fill/WalkRef event to its structure's book and to
+     *  the open translation. */
+    void
+    accumulatePath(const ProvEvent &e, ProvCoreTotals &ct)
+    {
+        ProvStructTotals &s =
+            ct.structs[static_cast<std::size_t>(e.structId)];
+        if (e.kind == ProvKind::Fill) {
+            ++s.writes;
+            s.writePj += e.pj;
+        } else {
+            ++s.reads;
+            s.readPj += e.pj;
+        }
+        if (inTranslation_) {
+            curPj_ += e.pj;
+            if (e.kind == ProvKind::WalkRef &&
+                e.structId == ProvStruct::WalkMem)
+                ++curWalkRefs_;
+        }
+    }
+
+    void emitSlow(const ProvEvent &event);
     void writeEvent(const ProvEvent &event);
     void accumulate(const ProvEvent &event);
     ProvCoreTotals &coreTotals(unsigned core);
@@ -191,12 +235,15 @@ class ProvenanceSink
     std::unique_ptr<std::ofstream> file_;
     std::ostream *out_ = nullptr; ///< null for accumulate-only sinks
     bool closed_ = false;
+    JsonObject line_; ///< reused for every written line
 
     ProvSummary summary_;
+    /** Translations to skip before the next sampled one. */
+    std::uint64_t sampleCountdown_ = 0;
 
     // State of the translation currently in flight.
     bool inTranslation_ = false;
-    bool sampled_ = false;
+    bool writing_ = false; ///< its path events go to the stream
     std::uint64_t curInstr_ = 0;
     std::uint64_t curVaddr_ = 0;
     unsigned curCore_ = 0;
@@ -210,7 +257,7 @@ class ProvenanceSink
 };
 
 /** Render the summary as the eat.prov.summary JSONL line (exact
- *  totals via %.17g). Exposed so tests can golden-check it. */
+ *  totals at precision 17). Exposed so tests can golden-check it. */
 std::string provSummaryToJson(const ProvSummary &summary);
 
 } // namespace eat::obs

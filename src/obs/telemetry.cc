@@ -55,7 +55,7 @@ TelemetrySink::emit(const IntervalRecord &r)
     // Flush per record: a child killed mid-run (watchdog, crash, the
     // campaign engine's retry SIGKILL) must leave at most one torn
     // final line behind, never a silently truncated stream.
-    *out_ << o.str() << "\n";
+    o.writeLine(*out_);
     out_->flush();
     ++records_;
 }

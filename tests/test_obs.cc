@@ -8,10 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "base/logging.hh"
 #include "obs/json.hh"
@@ -44,9 +48,119 @@ TEST(Json, NumberFormat)
 {
     EXPECT_EQ(jsonNumber(1.5), "1.5");
     EXPECT_EQ(jsonNumber(0.0), "0");
-    // JSON cannot express non-finite values.
-    EXPECT_EQ(jsonNumber(std::numeric_limits<double>::infinity()), "0");
-    EXPECT_EQ(jsonNumber(std::nan("")), "0");
+    // JSON cannot express non-finite values: every path prints 0.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (const double v : {kInf, -kInf, std::nan(""), -std::nan("")}) {
+        EXPECT_EQ(jsonNumber(v), "0");
+        EXPECT_EQ(jsonNumberExact(v), "0");
+        JsonObject o;
+        o.put("a", v);
+        o.putExact("b", v);
+        EXPECT_EQ(o.str(), "{\"a\":0,\"b\":0}");
+    }
+}
+
+/** The reference the serializer must match: printf's %.<precision>g. */
+std::string
+printfG(double v, int precision)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    return buf;
+}
+
+/** Every way a double reaches the page, against the printf reference.
+ *  @return "" when all four agree, else what differed. */
+std::string
+numberMismatch(double v)
+{
+    const std::string g12 = printfG(v, 12);
+    const std::string g17 = printfG(v, 17);
+    JsonObject o;
+    o.put("x", v);
+    JsonObject exact;
+    exact.putExact("x", v);
+    if (jsonNumber(v) != g12)
+        return "jsonNumber " + jsonNumber(v) + " vs %.12g " + g12;
+    if (jsonNumberExact(v) != g17)
+        return "jsonNumberExact " + jsonNumberExact(v) + " vs %.17g " + g17;
+    if (o.str() != "{\"x\":" + g12 + "}")
+        return "put " + o.str() + " vs %.12g " + g12;
+    if (exact.str() != "{\"x\":" + g17 + "}")
+        return "putExact " + exact.str() + " vs %.17g " + g17;
+    return "";
+}
+
+TEST(Json, NumbersPrintTheBytesOfPrintfG)
+{
+    constexpr double kMax = std::numeric_limits<double>::max();
+    constexpr double kMin = std::numeric_limits<double>::min();
+    constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+    const double edges[] = {
+        0.0, -0.0, kDenorm, -kDenorm, 3 * kDenorm,
+        // the largest subnormal
+        std::bit_cast<double>(std::uint64_t{0x000fffffffffffff}),
+        kMin, -kMin, std::nextafter(kMin, 0.0), kMax, -kMax,
+        9007199254740992.0,        // 2^53
+        9007199254740994.0,        // 2^53 + 2
+        18446744073709551616.0,    // 2^64
+        123456789012345678901.0, 1e22, 1e23, -1e300, 1e-300,
+        0.1, 1.0 / 3.0, 1.5, 100.0, 1e12, 1e17, 999999999999.5,
+        0.000123456789012345678,
+    };
+    for (const double v : edges)
+        EXPECT_EQ(numberMismatch(v), "") << std::hexfloat << v;
+
+    std::mt19937_64 rng(20260117);
+    std::size_t checked = 0;
+    while (checked < 200'000) {
+        const double v = std::bit_cast<double>(rng());
+        if (!std::isfinite(v))
+            continue;
+        ++checked;
+        ASSERT_EQ(numberMismatch(v), "") << std::hexfloat << v;
+    }
+}
+
+TEST(Json, IntegersPrintAsToString)
+{
+    // Includes the bit patterns of INT_MIN, -1 and INT64_MIN.
+    std::vector<std::uint64_t> values = {
+        0, 1, 9, 10, 0x80000000u, 0xffffffffu, 0x100000000u,
+        std::uint64_t{1} << 63, std::numeric_limits<std::uint64_t>::max()};
+    std::mt19937_64 rng(7);
+    for (int i = 0; i < 10'000; ++i)
+        values.push_back(rng() >> (rng() % 64));
+    for (const std::uint64_t u : values) {
+        const auto i64 = static_cast<std::int64_t>(u);
+        const auto i32 = static_cast<int>(u);
+        const auto u32 = static_cast<unsigned>(u);
+        JsonObject o;
+        o.put("u", u);
+        o.put("i", i64);
+        o.put("n", i32);
+        o.put("w", u32);
+        EXPECT_EQ(o.str(), "{\"u\":" + std::to_string(u) +
+                               ",\"i\":" + std::to_string(i64) +
+                               ",\"n\":" + std::to_string(i32) +
+                               ",\"w\":" + std::to_string(u32) + "}");
+    }
+}
+
+TEST(Json, ClearedObjectWritesWholeLines)
+{
+    std::ostringstream os;
+    JsonObject o;
+    o.put("a", 1);
+    o.writeLine(os);
+    // writeLine leaves the object as it was: str() and more members
+    // still work.
+    EXPECT_EQ(o.str(), "{\"a\":1}");
+    o.clear();
+    EXPECT_TRUE(o.empty());
+    o.put("b", "x\ty");
+    o.writeLine(os);
+    EXPECT_EQ(os.str(), "{\"a\":1}\n{\"b\":\"x\\ty\"}\n");
 }
 
 TEST(Json, ObjectBuilds)

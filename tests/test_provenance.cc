@@ -10,10 +10,19 @@
  *  - the JSONL stream round-trips: eatreport --reconcile re-sums the
  *    file and agrees, and rejects sampled streams;
  *  - the summary JSON record parses back to the exact doubles;
- *  - the shared log2 bucket helper is what both sides assume.
+ *  - the shared log2 bucket helper is what both sides assume, and
+ *    equals the halving loop that defines it;
+ *  - golden bytes: a fixed 2-core audit mix writes exactly the
+ *    pinned provenance, telemetry and summary bytes.
  */
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <random>
 #include <string>
 
 #include <sys/wait.h>
@@ -24,6 +33,7 @@
 #include "mc/mix.hh"
 #include "obs/json.hh"
 #include "obs/provenance.hh"
+#include "l3/l3_config.hh"
 #include "sim/simulator.hh"
 #include "workloads/suite.hh"
 #include "scratch_dir.hh"
@@ -205,6 +215,104 @@ TEST(Provenance, EatreportReconcilesTheStreamEndToEnd)
     EXPECT_NE(output.find("bit for bit"), std::string::npos) << output;
 }
 
+/** FNV-1a 64 of @p bytes. */
+std::uint64_t
+fnv64(const std::string &bytes)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** A short 2-core mcf,canneal mix with every optional layer on:
+ *  nested paging over a paged host, hw coherence, the cache-resident
+ *  L3 tier, OS churn, and Lite intervals short enough to resize and
+ *  write telemetry several times. */
+mc::McConfig
+auditMixConfig()
+{
+    mc::McConfig cfg;
+    cfg.base = provConfig("mcf", core::MmuOrg::TlbLite, 60'000);
+    cfg.base.fastForwardInstructions = 10'000;
+    cfg.base.mmu.lite.intervalInstructions = 10'000;
+    cfg.base.mmu.vmEnabled = true;
+    cfg.base.mmu.enableL3(l3::L3Mode::Cache);
+    const auto mix = mc::parseMixSpec("mcf,canneal");
+    EXPECT_TRUE(mix.ok());
+    cfg.mix = mix.value();
+    cfg.cores = 2;
+    cfg.quantumInstructions = 20'000;
+    cfg.remapInterval = 20'000;
+    cfg.coherence = mc::McConfig::CoherenceMode::Hw;
+    return cfg;
+}
+
+/** The bytes every writer produces are part of the contract: a change
+ *  to how lines are built must leave each stream, and the summary
+ *  record, byte-identical. */
+TEST(Provenance, AuditMixStreamsMatchTheirGoldenBytes)
+{
+    const std::string dir = test::scratchDir();
+    struct Stream
+    {
+        std::uint64_t sampleEvery;
+        std::uint64_t provHash;
+    };
+    for (const Stream &s : {Stream{1, 0x397e32a03bbd87c3ull},
+                            Stream{64, 0xa2fe0944c0f5c479ull}}) {
+        const std::string what = "sample " + std::to_string(s.sampleEvery);
+        auto cfg = auditMixConfig();
+        cfg.base.provenancePath = dir + "audit.prov.jsonl";
+        cfg.base.provenanceSampleEvery = s.sampleEvery;
+        cfg.base.telemetryPath = dir + "audit.telemetry.jsonl";
+        const auto r = mc::mcSimulate(cfg);
+        ASSERT_TRUE(r.provenanceEnabled) << what;
+        EXPECT_GT(r.coherenceProbes, 0u) << what;
+
+        const std::string prov = readFile(cfg.base.provenancePath);
+        const std::string telemetry = readFile(cfg.base.telemetryPath);
+        ASSERT_FALSE(prov.empty()) << what;
+        ASSERT_FALSE(telemetry.empty()) << what;
+        // Control events are written whatever the sample rate.
+        EXPECT_NE(prov.find("\"k\":\"resize\""), std::string::npos);
+        EXPECT_NE(prov.find("\"k\":\"coh_probe\""), std::string::npos);
+        EXPECT_EQ(fnv64(prov), s.provHash)
+            << what << std::hex << ": 0x" << fnv64(prov);
+        // Sampling thins the provenance stream only.
+        EXPECT_EQ(fnv64(telemetry), 0xd35bd5ea1c7138dbull)
+            << what << std::hex << ": 0x" << fnv64(telemetry);
+    }
+
+    const auto r = mc::mcSimulate(auditMixConfig());
+    ASSERT_TRUE(r.provenanceEnabled);
+    const std::string summary = provSummaryToJson(r.provenance);
+    EXPECT_EQ(fnv64(summary), 0xf9a2edf8adf0e562ull)
+        << std::hex << "0x" << fnv64(summary);
+}
+
+/** The bucket's definition: halve until below 1, at most 63 times. */
+std::size_t
+halvingBucket(double v)
+{
+    std::size_t bucket = 0;
+    while (v >= 1.0 && bucket < 63) {
+        v /= 2.0;
+        ++bucket;
+    }
+    return bucket;
+}
+
 TEST(Provenance, Log2BucketsMatchTheHistogramContract)
 {
     EXPECT_EQ(obs::provLog2Bucket(0.0), 0u);
@@ -214,6 +322,29 @@ TEST(Provenance, Log2BucketsMatchTheHistogramContract)
     EXPECT_EQ(obs::provLog2Bucket(4.0), 3u);
     EXPECT_EQ(obs::provLog2Bucket(1023.0), 10u);
     EXPECT_EQ(obs::provLog2Bucket(1024.0), 11u);
+
+    // Any input lands where the halving loop puts it.
+    std::size_t mismatches = 0;
+    double first = 0.0;
+    const auto expectSame = [&](double v) {
+        if (obs::provLog2Bucket(v) != halvingBucket(v) && mismatches++ == 0)
+            first = v;
+    };
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kMax = std::numeric_limits<double>::max();
+    for (const double v : {-0.0, -1.0, -kMax, -kInf, kInf, std::nan(""),
+                           -std::nan(""), 0.5, 0.999})
+        expectSame(v);
+    for (int e = -1074; e <= 1023; ++e) {
+        const double p = std::ldexp(1.0, e);
+        expectSame(p);
+        expectSame(std::nextafter(p, 0.0));
+        expectSame(std::nextafter(p, kInf));
+    }
+    std::mt19937_64 rng(64);
+    for (int i = 0; i < 200'000; ++i)
+        expectSame(std::bit_cast<double>(rng()));
+    EXPECT_EQ(mismatches, 0u) << "first at " << std::hexfloat << first;
 }
 
 } // namespace
