@@ -392,6 +392,11 @@ class Parser
         JsonValue v;
         v.kind = JsonValue::Kind::Number;
         v.number = d;
+        std::uint64_t exact = 0;
+        const auto [ptr, ec] = std::from_chars(
+            token.data(), token.data() + token.size(), exact);
+        if (ec == std::errc() && ptr == token.data() + token.size())
+            v.exactUint = exact;
         return v;
     }
 

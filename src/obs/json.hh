@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -117,6 +118,9 @@ struct JsonValue
     Kind kind = Kind::Null;
     bool boolean = false;
     double number = 0.0;
+    /** The exact value of a non-negative integer token that fits 64
+     *  bits; `number` rounds such a token beyond 2^53. */
+    std::optional<std::uint64_t> exactUint;
     std::string string;
     std::vector<JsonValue> array;
     /** Insertion-ordered members. */

@@ -324,12 +324,12 @@ checkWayMonotonicity(const Scenario &scenario, const sim::SimResult &full,
     std::uint64_t priorHits = hits4K(full);
     std::uint64_t priorMisses = full.stats.l1Misses;
     for (const unsigned ways : {2u, 1u}) {
-        auto cfg = scenario.toSimConfig();
+        auto cfg = scenario.toMcConfig();
         // Same set count (16), fewer ways: a strict capacity shrink
         // with identical indexing.
-        cfg.mmu.l1Tlb4K.entries = 16 * ways;
-        cfg.mmu.l1Tlb4K.ways = ways;
-        const auto shrunk = sim::simulate(cfg);
+        cfg.base.mmu.l1Tlb4K.entries = 16 * ways;
+        cfg.base.mmu.l1Tlb4K.ways = ways;
+        const auto shrunk = mc::mcSimulate(cfg).perCore[0];
 
         oracle.expect(hits4K(shrunk) <= priorHits, ways,
                       "-way L1 4K TLB hit ", hits4K(shrunk),
@@ -477,35 +477,119 @@ mcOutcomeDigest(const mc::McResult &r)
 namespace
 {
 
-/** The oracle set of multicore scenarios. */
+/**
+ * The multicore cost books (DESIGN.md §12): per-core invalidations sum
+ * to the run's tally, and each remap is charged to exactly one book —
+ * IPI broadcasts interrupt every remote core, hw coherence probes the
+ * filter once and charges its cost model — while the other stays zero.
+ */
+void
+checkShootdownAccounting(const mc::McResult &result, const mc::McConfig &cfg,
+                         OracleVerdict &verdict)
+{
+    Oracle oracle(verdict, "shootdown-accounting");
+    const bool hw = result.coherence == mc::McConfig::CoherenceMode::Hw;
+    std::uint64_t initiated = 0;
+    std::uint64_t received = 0;
+    std::uint64_t invalidations = 0;
+    std::uint64_t probes = 0;
+    std::uint64_t targeted = 0;
+    std::uint64_t cohReceived = 0;
+    for (const auto &r : result.perCore) {
+        initiated += r.stats.shootdownsInitiated;
+        received += r.stats.shootdownsReceived;
+        invalidations += r.stats.shootdownInvalidations;
+        probes += r.stats.cohProbes;
+        targeted += r.stats.cohTargetedCores;
+        cohReceived += r.stats.cohInvalidationsReceived;
+    }
+    const std::uint64_t cores = result.perCore.size();
+    oracle.expect(invalidations == result.shootdownInvalidations,
+                  "per-core invalidations sum to ", invalidations,
+                  " but the run counted ", result.shootdownInvalidations);
+    if (!hw) {
+        oracle.expect(received == result.shootdownEvents * (cores - 1),
+                      "every broadcast interrupts every remote core: ",
+                      result.shootdownEvents, " events on ", cores,
+                      " cores but ", received, " receipts");
+        if (cores > 1) {
+            oracle.expect(initiated == result.shootdownEvents, initiated,
+                          " initiations for ", result.shootdownEvents,
+                          " broadcasts");
+        }
+        oracle.expect(probes == 0 && targeted == 0 && cohReceived == 0,
+                      "IPI mode kept a hw coherence book: ", probes,
+                      " probes, ", targeted, " targets, ", cohReceived,
+                      " receipts");
+        return;
+    }
+    oracle.expect(initiated == 0 && received == 0,
+                  "hw mode kept an IPI book: ", initiated,
+                  " initiations, ", received, " receipts");
+    if (cores > 1) {
+        oracle.expect(probes == result.shootdownEvents,
+                      "every remap must probe the filter: ",
+                      result.shootdownEvents, " events but ", probes,
+                      " probes");
+    }
+    oracle.expect(probes == result.coherenceProbes &&
+                      targeted == result.coherenceTargetedCores,
+                  "per-core probe book (", probes, '/', targeted,
+                  ") diverged from the run's (", result.coherenceProbes,
+                  '/', result.coherenceTargetedCores, ')');
+    oracle.expect(cohReceived == targeted, "filter targeted ", targeted,
+                  " sharer cores but ", cohReceived,
+                  " invalidation receipts landed");
+    for (std::size_t c = 0; c < result.perCore.size(); ++c) {
+        const auto &s = result.perCore[c].stats;
+        const auto expectCycles =
+            cfg.base.mmu.cohProbeCycles * s.cohProbes +
+            cfg.base.mmu.cohPerCoreCycles * s.cohTargetedCores;
+        oracle.expect(s.cohCycles == expectCycles, "core ", c, " charged ",
+                      s.cohCycles, " coherence cycles; the cost model says ",
+                      expectCycles);
+    }
+}
+
+} // namespace
+
 OracleVerdict
-runMcOracles(const Scenario &scenario, Mutation mutation)
+runOracles(const Scenario &scenario, Mutation mutation)
 {
     OracleVerdict verdict;
 
+    // Every scenario runs on the one engine; a single-core scenario is
+    // judged and digested by its one core, so its verdict digest is the
+    // core's resultDigest().
+    const bool multicore = scenario.multicore();
+    auto digestOf = [multicore](const mc::McResult &r) {
+        return multicore ? mcResultDigest(r) : resultDigest(r.perCore[0]);
+    };
+
     auto cfg = scenario.toMcConfig();
-    if (mutation == Mutation::CorruptTlbFill)
+    if (mutation == Mutation::CorruptTlbFill) {
+        // The defect under test: fills get corrupted but the scenario
+        // declares no fault plan, so the silence oracle must fire.
         cfg.base.faultSpec = "ppn-flip@l2:0.01,ppn-flip@l1-4k:0.01";
+    }
     // In-memory provenance accumulation on the primary runs: the
     // reconciliation oracle needs the exact traced totals. The digests
     // never include provenance, so replay comparisons are unaffected.
     cfg.base.provenanceEnabled = true;
 
     auto result = mc::mcSimulate(cfg);
+    verdict.digest = digestOf(result);
     {
-        Oracle oracle(verdict, "mc-replay-determinism");
-        const auto replay = mc::mcSimulate(cfg);
-        const auto first = mcResultDigest(result);
-        const auto second = mcResultDigest(replay);
-        oracle.expect(first == second,
-                      "two runs of one multicore scenario diverged; "
-                      "first run: ",
-                      first.substr(0, 160), "...");
+        Oracle oracle(verdict, multicore ? "mc-replay-determinism"
+                                         : "replay-determinism");
+        oracle.expect(digestOf(mc::mcSimulate(cfg)) == verdict.digest,
+                      "two runs of one scenario diverged; first run: ",
+                      verdict.digest.substr(0, 160), "...");
     }
-    verdict.digest = mcResultDigest(result);
 
     if (mutation == Mutation::SkipEnergyCharge) {
-        // The defect under test, landed in core 0's report.
+        // The defect under test: one structure's activity goes
+        // unaccounted. Conservation must catch the imbalance.
         for (auto &row : result.perCore[0].energy.structs) {
             if (row.readEnergy > 0.0) {
                 row.readEnergy *= 0.5;
@@ -518,12 +602,10 @@ runMcOracles(const Scenario &scenario, Mutation mutation)
         Oracle oracle(verdict, "checker-activity");
         for (std::size_t c = 0; c < result.perCore.size(); ++c) {
             const auto &r = result.perCore[c];
-            oracle.expect(r.checkLevel == check::CheckLevel::Full,
-                          "core ", c,
-                          " ran without the full shadow checker");
+            oracle.expect(r.checkLevel == check::CheckLevel::Full, "core ",
+                          c, " ran without the full shadow checker");
             oracle.expect(r.check.translationChecks > 0, "core ", c,
-                          "'s shadow checker never checked a "
-                          "translation");
+                          "'s shadow checker never checked a translation");
         }
     }
 
@@ -540,12 +622,11 @@ runMcOracles(const Scenario &scenario, Mutation mutation)
         }
         oracle.expect(mismatches == 0, "fault-free run reported ",
                       mismatches, " mismatches; first: ", first);
-        oracle.expect(injected == 0, "fault-free run injected ",
-                      injected, " faults");
+        oracle.expect(injected == 0, "fault-free run injected ", injected,
+                      " faults");
     } else {
         Oracle oracle(verdict, "fault-detection");
-        const auto &faulted = result.perCore[cfg.faultCore];
-        checkFaultDetection(faulted, oracle);
+        checkFaultDetection(result.perCore[cfg.faultCore], oracle);
         // Attribution: the injector touched exactly one core's TLBs,
         // so every other core's checker must stay silent.
         for (std::size_t c = 0; c < result.perCore.size(); ++c) {
@@ -558,233 +639,67 @@ runMcOracles(const Scenario &scenario, Mutation mutation)
         }
     }
 
-    for (const auto &r : result.perCore)
+    const bool pagedHost =
+        cfg.base.mmu.vmEnabled && !cfg.base.mmu.vmIdentityHost;
+    std::uint64_t memOps = 0;
+    for (unsigned c = 0; c < result.perCore.size(); ++c) {
+        const auto &r = result.perCore[c];
+        memOps += r.stats.memOps;
         checkEnergyConservation(r, verdict);
-
+        checkNestedWalkAccounting(r, pagedHost, verdict);
+        checkL3Accounting(r, cfg.base.mmu.l3Mode, verdict);
+        if (result.provenanceEnabled)
+            checkProvenanceReconciliation(result.provenance, r, c, verdict);
+    }
     if (result.provenanceEnabled) {
-        for (unsigned c = 0;
-             c < static_cast<unsigned>(result.perCore.size()); ++c) {
-            checkProvenanceReconciliation(result.provenance,
-                                          result.perCore[c], c, verdict);
-        }
         Oracle oracle(verdict, "provenance-reconciliation");
-        std::uint64_t memOps = 0;
-        for (const auto &r : result.perCore)
-            memOps += r.stats.memOps;
-        oracle.expect(result.provenance.translations == memOps,
-                      "sink saw ", result.provenance.translations,
+        oracle.expect(result.provenance.translations == memOps, "sink saw ",
+                      result.provenance.translations,
                       " translations but the cores ran ", memOps,
                       " memory operations");
     }
 
-    {
-        Oracle oracle(verdict, "shootdown-accounting");
-        const bool hw =
-            result.coherence == mc::McConfig::CoherenceMode::Hw;
-        std::uint64_t initiated = 0;
-        std::uint64_t received = 0;
-        std::uint64_t invalidations = 0;
-        std::uint64_t probes = 0;
-        std::uint64_t targeted = 0;
-        std::uint64_t cohReceived = 0;
-        for (const auto &r : result.perCore) {
-            initiated += r.stats.shootdownsInitiated;
-            received += r.stats.shootdownsReceived;
-            invalidations += r.stats.shootdownInvalidations;
-            probes += r.stats.cohProbes;
-            targeted += r.stats.cohTargetedCores;
-            cohReceived += r.stats.cohInvalidationsReceived;
-        }
-        const std::uint64_t cores = result.perCore.size();
-        oracle.expect(invalidations == result.shootdownInvalidations,
-                      "per-core invalidations sum to ", invalidations,
-                      " but the run counted ",
-                      result.shootdownInvalidations);
-        if (!hw) {
-            oracle.expect(
-                received == result.shootdownEvents * (cores - 1),
-                "every broadcast interrupts every remote core: ",
-                result.shootdownEvents, " events on ", cores,
-                " cores but ", received, " receipts");
-            if (cores > 1) {
-                oracle.expect(initiated == result.shootdownEvents,
-                              initiated, " initiations for ",
-                              result.shootdownEvents, " broadcasts");
-            }
-            oracle.expect(probes == 0 && targeted == 0 &&
-                              cohReceived == 0,
-                          "IPI mode kept a hw coherence book: ", probes,
-                          " probes, ", targeted, " targets, ",
-                          cohReceived, " receipts");
-        } else {
-            oracle.expect(initiated == 0 && received == 0,
-                          "hw mode kept an IPI book: ", initiated,
-                          " initiations, ", received, " receipts");
-            if (cores > 1) {
-                oracle.expect(probes == result.shootdownEvents,
-                              "every remap must probe the filter: ",
-                              result.shootdownEvents, " events but ",
-                              probes, " probes");
-            }
-            oracle.expect(probes == result.coherenceProbes &&
-                              targeted == result.coherenceTargetedCores,
-                          "per-core probe book (", probes, '/', targeted,
-                          ") diverged from the run's (",
-                          result.coherenceProbes, '/',
-                          result.coherenceTargetedCores, ')');
-            oracle.expect(cohReceived == targeted,
-                          "filter targeted ", targeted,
-                          " sharer cores but ", cohReceived,
-                          " invalidation receipts landed");
-            for (std::size_t c = 0; c < result.perCore.size(); ++c) {
-                const auto &s = result.perCore[c].stats;
-                const auto expectCycles =
-                    cfg.base.mmu.cohProbeCycles * s.cohProbes +
-                    cfg.base.mmu.cohPerCoreCycles * s.cohTargetedCores;
-                oracle.expect(s.cohCycles == expectCycles, "core ", c,
-                              " charged ", s.cohCycles,
-                              " coherence cycles; the cost model says ",
-                              expectCycles);
-            }
-        }
-    }
+    if (multicore)
+        checkShootdownAccounting(result, cfg, verdict);
 
     // Cost books must never leak into architectural state: an IPI twin
     // of a hw-coherence scenario performs the identical invalidations,
     // so everything but the charges matches.
-    if (cfg.coherence == mc::McConfig::CoherenceMode::Hw &&
+    if (multicore && cfg.coherence == mc::McConfig::CoherenceMode::Hw &&
         mutation == Mutation::None) {
         Oracle oracle(verdict, "coherence-equivalence");
         auto ipiCfg = cfg;
         ipiCfg.coherence = mc::McConfig::CoherenceMode::Ipi;
-        const auto ipi = mc::mcSimulate(ipiCfg);
         const auto hwOutcome = mcOutcomeDigest(result);
-        const auto ipiOutcome = mcOutcomeDigest(ipi);
+        const auto ipiOutcome = mcOutcomeDigest(mc::mcSimulate(ipiCfg));
         oracle.expect(hwOutcome == ipiOutcome,
-                      "hw coherence changed architectural outcomes; "
-                      "hw: ",
+                      "hw coherence changed architectural outcomes; hw: ",
                       hwOutcome.substr(0, 160), "...");
     }
-
-    {
-        const bool pagedHost =
-            cfg.base.mmu.vmEnabled && !cfg.base.mmu.vmIdentityHost;
-        for (const auto &r : result.perCore)
-            checkNestedWalkAccounting(r, pagedHost, verdict);
-    }
-
-    for (const auto &r : result.perCore)
-        checkL3Accounting(r, cfg.base.mmu.l3Mode, verdict);
-
-    return verdict;
-}
-
-} // namespace
-
-OracleVerdict
-runOracles(const Scenario &scenario, Mutation mutation)
-{
-    if (scenario.multicore())
-        return runMcOracles(scenario, mutation);
-
-    OracleVerdict verdict;
-
-    auto cfg = scenario.toSimConfig();
-    if (mutation == Mutation::CorruptTlbFill) {
-        // The defect under test: fills get corrupted but the scenario
-        // declares no fault plan, so the silence oracle must fire.
-        cfg.faultSpec = "ppn-flip@l2:0.01,ppn-flip@l1-4k:0.01";
-    }
-    // In-memory provenance accumulation on the primary runs: the
-    // reconciliation oracle needs the exact traced totals. The digests
-    // never include provenance, so replay comparisons are unaffected.
-    cfg.provenanceEnabled = true;
-
-    auto result = sim::simulate(cfg);
-    {
-        Oracle oracle(verdict, "replay-determinism");
-        const auto replay = sim::simulate(cfg);
-        const auto first = resultDigest(result);
-        const auto second = resultDigest(replay);
-        oracle.expect(first == second,
-                      "two runs of one scenario diverged; first run: ",
-                      first.substr(0, 160), "...");
-    }
-    verdict.digest = resultDigest(result);
-
-    if (mutation == Mutation::SkipEnergyCharge) {
-        // The defect under test: one structure's activity goes
-        // unaccounted. Conservation must catch the imbalance.
-        for (auto &row : result.energy.structs) {
-            if (row.readEnergy > 0.0) {
-                row.readEnergy *= 0.5;
-                break;
-            }
-        }
-    }
-
-    {
-        Oracle oracle(verdict, "checker-activity");
-        oracle.expect(result.checkLevel == check::CheckLevel::Full,
-                      "scenario ran without the full shadow checker");
-        oracle.expect(result.check.translationChecks > 0,
-                      "the shadow checker never checked a translation");
-    }
-
-    if (scenario.faultSpec.empty()) {
-        Oracle oracle(verdict, "checker-silence");
-        oracle.expect(result.check.mismatches() == 0,
-                      "fault-free run reported ",
-                      result.check.mismatches(),
-                      " mismatches; first: ", result.firstMismatch);
-        oracle.expect(result.inject.injected() == 0,
-                      "fault-free run injected ",
-                      result.inject.injected(), " faults");
-    } else {
-        Oracle oracle(verdict, "fault-detection");
-        checkFaultDetection(result, oracle);
-    }
-
-    checkEnergyConservation(result, verdict);
-    checkNestedWalkAccounting(
-        result, cfg.mmu.vmEnabled && !cfg.mmu.vmIdentityHost, verdict);
-    checkL3Accounting(result, cfg.mmu.l3Mode, verdict);
 
     // An identity host table engages the nested walker but must charge
     // nothing: the run is digest-identical to the same scenario on
     // bare metal.
-    if (cfg.mmu.vmEnabled && cfg.mmu.vmIdentityHost &&
-        mutation == Mutation::None) {
+    if (!multicore && cfg.base.mmu.vmEnabled &&
+        cfg.base.mmu.vmIdentityHost && mutation == Mutation::None) {
         Oracle oracle(verdict, "vm-identity-equivalence");
         auto flatCfg = cfg;
-        flatCfg.mmu.vmEnabled = false;
-        flatCfg.mmu.vmIdentityHost = false;
-        const auto flat = sim::simulate(flatCfg);
-        const auto flatDigest = resultDigest(flat);
-        const auto vmDigest = resultDigest(result);
-        oracle.expect(flatDigest == vmDigest,
-                      "identity-host run diverged from bare metal; "
-                      "vm: ",
-                      vmDigest.substr(0, 160), "...");
-    }
-
-    if (result.provenanceEnabled) {
-        checkProvenanceReconciliation(result.provenance, result, 0,
-                                      verdict);
-        Oracle oracle(verdict, "provenance-reconciliation");
-        oracle.expect(result.provenance.translations == result.stats.memOps,
-                      "sink saw ", result.provenance.translations,
-                      " translations but the run made ",
-                      result.stats.memOps, " memory operations");
+        flatCfg.base.mmu.vmEnabled = false;
+        flatCfg.base.mmu.vmIdentityHost = false;
+        const auto flatDigest = digestOf(mc::mcSimulate(flatCfg));
+        oracle.expect(flatDigest == verdict.digest,
+                      "identity-host run diverged from bare metal; vm: ",
+                      verdict.digest.substr(0, 160), "...");
     }
 
     const bool wayOracleEligible =
+        !multicore &&
         (scenario.org == core::MmuOrg::Base4K ||
          scenario.org == core::MmuOrg::Thp) &&
         scenario.faultSpec.empty() && !scenario.combinedL1 &&
         mutation == Mutation::None;
     if (wayOracleEligible)
-        checkWayMonotonicity(scenario, result, verdict);
+        checkWayMonotonicity(scenario, result.perCore[0], verdict);
 
     return verdict;
 }

@@ -3,99 +3,10 @@
 #include <fstream>
 #include <sstream>
 
-#include "l3/l3_config.hh"
-#include "mc/mix.hh"
 #include "obs/json.hh"
-#include "vm/host_table.hh"
-#include "workloads/suite.hh"
 
 namespace eat::qa
 {
-
-sim::SimConfig
-Scenario::toSimConfig() const
-{
-    sim::SimConfig cfg;
-    const auto spec = workloads::findWorkload(workload);
-    if (spec)
-        cfg.workload = *spec;
-    cfg.mmu = core::MmuConfig::make(org);
-    cfg.mmu.combinedFullyAssocL1 = combinedL1;
-    if (liteInterval > 0)
-        cfg.mmu.lite.intervalInstructions = liteInterval;
-    if (liteEpsilon >= 0.0) {
-        if (cfg.mmu.lite.mode == lite::ThresholdMode::Relative)
-            cfg.mmu.lite.epsilonRelative = liteEpsilon;
-        else
-            cfg.mmu.lite.epsilonAbsoluteMpki = liteEpsilon;
-    }
-    if (liteFullActProb >= 0.0)
-        cfg.mmu.lite.fullActivationProbability = liteFullActProb;
-    cfg.simulateInstructions = simInstructions;
-    cfg.fastForwardInstructions = fastForward;
-    cfg.seed = seed;
-    cfg.timelineInterval = timelineInterval;
-    cfg.eagerRangesPerRegion = eagerRanges;
-    cfg.checkLevel = check::CheckLevel::Full;
-    cfg.faultSpec = faultSpec;
-    if (!vmMode.empty()) {
-        const auto mode = vm::hostModeFromName(vmMode);
-        if (!mode.ok())
-            eat_fatal("scenario ", id, ": ", mode.status().message());
-        const auto size = vm::hostPageSizeFromName(hostPages);
-        if (!size.ok())
-            eat_fatal("scenario ", id, ": ", size.status().message());
-        cfg.mmu.vmEnabled = true;
-        cfg.mmu.vmIdentityHost = mode.value() == vm::HostMode::Identity;
-        cfg.mmu.hostPageSize = size.value();
-    }
-    if (hasL3()) {
-        const auto mode = l3::l3ModeFromName(l3Mode);
-        if (!mode.ok())
-            eat_fatal("scenario ", id, ": ", mode.status().message());
-        if (!l3Policy.empty()) {
-            const auto policy = l3::l3InsertPolicyFromName(l3Policy);
-            if (!policy.ok())
-                eat_fatal("scenario ", id, ": ",
-                          policy.status().message());
-            cfg.mmu.l3Cache.policy = policy.value();
-        }
-        if (l3PromoteStreak > 0)
-            cfg.mmu.l3Cache.promoteStreak = l3PromoteStreak;
-        // After the Lite overrides above: enableL3 scales the active
-        // epsilon, so it must see the scenario's final Lite schedule.
-        cfg.mmu.enableL3(mode.value());
-    }
-    return cfg;
-}
-
-mc::McConfig
-Scenario::toMcConfig() const
-{
-    mc::McConfig cfg;
-    cfg.base = toSimConfig();
-    cfg.cores = cores;
-    if (mixSpec.empty()) {
-        cfg.mix = {cfg.base.workload};
-    } else {
-        auto mix = mc::parseMixSpec(mixSpec);
-        if (!mix.ok())
-            eat_fatal("scenario ", id, ": ", mix.status().message());
-        cfg.mix = std::move(mix.value());
-    }
-    cfg.sharedAddressSpace = sharedSpace;
-    cfg.ctxFlush = ctxFlush;
-    cfg.quantumInstructions = quantum;
-    cfg.remapInterval = remapInterval;
-    cfg.faultCore = faultCore;
-    if (!coherence.empty()) {
-        const auto mode = mc::coherenceModeFromName(coherence);
-        if (!mode.ok())
-            eat_fatal("scenario ", id, ": ", mode.status().message());
-        cfg.coherence = mode.value();
-    }
-    return cfg;
-}
 
 std::string
 Scenario::toJson() const
@@ -104,40 +15,7 @@ Scenario::toJson() const
     json.put("schema", kScenarioSchema);
     json.put("v", kScenarioVersion);
     json.put("id", id);
-    json.put("workload", workload);
-    json.put("org", core::orgName(org));
-    json.put("instructions", simInstructions);
-    json.put("fast_forward", fastForward);
-    json.put("seed", seed);
-    json.put("timeline_interval", timelineInterval);
-    json.put("eager_ranges", eagerRanges);
-    json.put("combined_l1", combinedL1);
-    json.put("lite_interval", liteInterval);
-    json.put("lite_epsilon", liteEpsilon);
-    json.put("lite_full_act_prob", liteFullActProb);
-    json.put("fault_spec", faultSpec);
-    if (multicore()) {
-        json.put("cores", cores);
-        json.put("mix", mixSpec);
-        json.put("shared_space", sharedSpace);
-        json.put("ctx_flush", ctxFlush);
-        json.put("quantum", quantum);
-        json.put("remap_interval", remapInterval);
-        json.put("fault_core", faultCore);
-        if (!coherence.empty())
-            json.put("coherence", coherence);
-    }
-    if (!vmMode.empty()) {
-        json.put("vm", vmMode);
-        json.put("host_pages", hostPages);
-    }
-    if (hasL3()) {
-        json.put("l3", l3Mode);
-        if (!l3Policy.empty())
-            json.put("l3_policy", l3Policy);
-        if (l3PromoteStreak > 0)
-            json.put("l3_promote_streak", l3PromoteStreak);
-    }
+    mc::putKnobs(*this, json);
     return json.str();
 }
 
@@ -185,43 +63,6 @@ Scenario::describe() const
     return os.str();
 }
 
-Result<core::MmuOrg>
-parseOrgName(std::string_view name)
-{
-    for (const auto org : core::allOrgs()) {
-        if (name == core::orgName(org))
-            return org;
-    }
-    return Status::error("unknown organization '", std::string(name), "'");
-}
-
-namespace
-{
-
-/** Fetch a required numeric member of @p json. */
-Result<double>
-number(const obs::JsonValue &json, std::string_view key)
-{
-    const auto *v = json.find(key);
-    if (!v || !v->isNumber())
-        return Status::error("scenario: missing numeric field '",
-                             std::string(key), "'");
-    return v->number;
-}
-
-/** Fetch a required string member of @p json. */
-Result<std::string>
-string(const obs::JsonValue &json, std::string_view key)
-{
-    const auto *v = json.find(key);
-    if (!v || !v->isString())
-        return Status::error("scenario: missing string field '",
-                             std::string(key), "'");
-    return v->string;
-}
-
-} // namespace
-
 Result<Scenario>
 scenarioFromJson(std::string_view text)
 {
@@ -232,232 +73,33 @@ scenarioFromJson(std::string_view text)
     if (!json.isObject())
         return Status::error("scenario: not a JSON object");
 
-    const auto schema = string(json, "schema");
-    if (!schema.ok())
-        return schema.status();
-    if (schema.value() != kScenarioSchema)
-        return Status::error("scenario: schema '", schema.value(),
+    const auto *schema = json.find("schema");
+    if (!schema || !schema->isString())
+        return Status::error("scenario: missing string field 'schema'");
+    if (schema->string != kScenarioSchema)
+        return Status::error("scenario: schema '", schema->string,
                              "' is not '", kScenarioSchema, "'");
-    const auto version = number(json, "v");
-    if (!version.ok())
-        return version.status();
-    if (static_cast<int>(version.value()) != kScenarioVersion) {
+    const auto *version = json.find("v");
+    if (!version || !version->isNumber())
+        return Status::error("scenario: missing numeric field 'v'");
+    if (static_cast<int>(version->number) != kScenarioVersion) {
         return Status::error("scenario: version ",
-                             static_cast<int>(version.value()),
-                             " is not ", kScenarioVersion);
+                             static_cast<int>(version->number), " is not ",
+                             kScenarioVersion);
     }
 
+    auto knobs = mc::readKnobs(json);
+    if (!knobs.ok())
+        return Status::error("scenario: ", knobs.status().message());
     Scenario s;
-    const auto workload = string(json, "workload");
-    if (!workload.ok())
-        return workload.status();
-    s.workload = workload.value();
-    if (!workloads::findWorkload(s.workload))
-        return Status::error("scenario: unknown workload '", s.workload,
-                             "'");
-
-    const auto orgText = string(json, "org");
-    if (!orgText.ok())
-        return orgText.status();
-    const auto org = parseOrgName(orgText.value());
-    if (!org.ok())
-        return org.status();
-    s.org = org.value();
-
-    auto u64 = [&json](std::string_view key,
-                       std::uint64_t &out) -> Status {
-        const auto v = number(json, key);
-        if (!v.ok())
-            return v.status();
-        if (v.value() < 0)
-            return Status::error("scenario: negative '", std::string(key),
-                                 "'");
-        out = static_cast<std::uint64_t>(v.value());
-        return Status();
-    };
-    if (auto st = u64("id", s.id); !st.ok())
-        return st;
-    if (auto st = u64("instructions", s.simInstructions); !st.ok())
-        return st;
-    if (s.simInstructions == 0)
-        return Status::error("scenario: empty measured window");
-    if (auto st = u64("fast_forward", s.fastForward); !st.ok())
-        return st;
-    if (auto st = u64("seed", s.seed); !st.ok())
-        return st;
-    if (auto st = u64("timeline_interval", s.timelineInterval); !st.ok())
-        return st;
-    std::uint64_t eager = 0;
-    if (auto st = u64("eager_ranges", eager); !st.ok())
-        return st;
-    s.eagerRanges = static_cast<unsigned>(eager);
-    if (auto st = u64("lite_interval", s.liteInterval); !st.ok())
-        return st;
-
-    const auto *combined = json.find("combined_l1");
-    if (!combined || !combined->isBool())
-        return Status::error("scenario: missing bool field 'combined_l1'");
-    s.combinedL1 = combined->boolean;
-
-    const auto epsilon = number(json, "lite_epsilon");
-    if (!epsilon.ok())
-        return epsilon.status();
-    s.liteEpsilon = epsilon.value();
-    const auto prob = number(json, "lite_full_act_prob");
-    if (!prob.ok())
-        return prob.status();
-    s.liteFullActProb = prob.value();
-
-    const auto faultSpec = string(json, "fault_spec");
-    if (!faultSpec.ok())
-        return faultSpec.status();
-    s.faultSpec = faultSpec.value();
-    if (!s.faultSpec.empty()) {
-        const auto specs = check::parseFaultSpecs(s.faultSpec);
-        if (!specs.ok())
-            return Status::error("scenario: bad fault_spec: ",
-                                 specs.status().message());
-    }
-
-    // Multicore fields are optional (absent in pre-multicore seeds;
-    // the defaults describe exactly the single-core run they meant).
-    auto optU64 = [&json, &u64](std::string_view key,
-                                std::uint64_t &out) -> Status {
-        if (!json.find(key))
-            return Status();
-        return u64(key, out);
-    };
-    auto optBool = [&json](std::string_view key, bool &out) -> Status {
-        const auto *v = json.find(key);
-        if (!v)
-            return Status();
-        if (!v->isBool())
-            return Status::error("scenario: non-bool field '",
-                                 std::string(key), "'");
-        out = v->boolean;
-        return Status();
-    };
-    std::uint64_t coreCount = s.cores;
-    if (auto st = optU64("cores", coreCount); !st.ok())
-        return st;
-    if (coreCount < 1 || coreCount > mc::kMaxCores) {
-        return Status::error("scenario: core count ", coreCount,
-                             " out of range (1..", mc::kMaxCores, ")");
-    }
-    s.cores = static_cast<unsigned>(coreCount);
-    if (const auto *mix = json.find("mix")) {
-        if (!mix->isString())
-            return Status::error("scenario: non-string field 'mix'");
-        s.mixSpec = mix->string;
-        if (!s.mixSpec.empty()) {
-            const auto parsedMix = mc::parseMixSpec(s.mixSpec);
-            if (!parsedMix.ok())
-                return Status::error("scenario: ",
-                                     parsedMix.status().message());
-        }
-    }
-    if (auto st = optBool("shared_space", s.sharedSpace); !st.ok())
-        return st;
-    if (auto st = optBool("ctx_flush", s.ctxFlush); !st.ok())
-        return st;
-    if (auto st = optU64("quantum", s.quantum); !st.ok())
-        return st;
-    if (s.quantum == 0)
-        return Status::error("scenario: empty scheduler quantum");
-    if (auto st = optU64("remap_interval", s.remapInterval); !st.ok())
-        return st;
-    std::uint64_t faultCore = s.faultCore;
-    if (auto st = optU64("fault_core", faultCore); !st.ok())
-        return st;
-    if (faultCore >= s.cores) {
-        return Status::error("scenario: fault core ", faultCore,
-                             " beyond core count ", s.cores);
-    }
-    s.faultCore = static_cast<unsigned>(faultCore);
-
-    // Virtualization fields are likewise optional (absent in
-    // pre-virtualization seeds).
-    if (const auto *vmField = json.find("vm")) {
-        if (!vmField->isString())
-            return Status::error("scenario: non-string field 'vm'");
-        s.vmMode = vmField->string;
-        if (!s.vmMode.empty()) {
-            const auto mode = vm::hostModeFromName(s.vmMode);
-            if (!mode.ok())
-                return Status::error("scenario: ",
-                                     mode.status().message());
-        }
-    }
-    if (const auto *pages = json.find("host_pages")) {
-        if (!pages->isString())
-            return Status::error("scenario: non-string field "
-                                 "'host_pages'");
-        if (s.vmMode.empty()) {
-            return Status::error(
-                "scenario: 'host_pages' without 'vm'");
-        }
-        s.hostPages = pages->string;
-        const auto size = vm::hostPageSizeFromName(s.hostPages);
-        if (!size.ok())
-            return Status::error("scenario: ", size.status().message());
-    }
-    if (const auto *coh = json.find("coherence")) {
-        if (!coh->isString())
-            return Status::error("scenario: non-string field "
-                                 "'coherence'");
-        s.coherence = coh->string;
-        if (!s.coherence.empty()) {
-            const auto mode = mc::coherenceModeFromName(s.coherence);
-            if (!mode.ok())
-                return Status::error("scenario: ",
-                                     mode.status().message());
-        }
-    }
-
-    // L3-tier fields are likewise optional (absent in pre-L3 seeds).
-    // Tuning fields without the mode are orphans: they describe nothing
-    // and almost certainly mean a typo'd seed, so reject loudly.
-    if (const auto *l3Field = json.find("l3")) {
-        if (!l3Field->isString())
-            return Status::error("scenario: non-string field 'l3'");
-        s.l3Mode = l3Field->string;
-        if (!s.l3Mode.empty()) {
-            const auto mode = l3::l3ModeFromName(s.l3Mode);
-            if (!mode.ok())
-                return Status::error("scenario: ",
-                                     mode.status().message());
-        }
-    }
-    if (const auto *policy = json.find("l3_policy")) {
-        if (!policy->isString())
-            return Status::error("scenario: non-string field "
-                                 "'l3_policy'");
-        if (s.l3Mode != "cache") {
-            return Status::error("scenario: 'l3_policy' without "
-                                 "'l3': 'cache'");
-        }
-        s.l3Policy = policy->string;
-        const auto parsedPolicy = l3::l3InsertPolicyFromName(s.l3Policy);
-        if (!parsedPolicy.ok())
-            return Status::error("scenario: ",
-                                 parsedPolicy.status().message());
-    }
-    if (json.find("l3_promote_streak")) {
-        if (s.l3Policy != "promote") {
-            return Status::error("scenario: 'l3_promote_streak' without "
-                                 "'l3_policy': 'promote'");
-        }
-        std::uint64_t streak = 0;
-        if (auto st = u64("l3_promote_streak", streak); !st.ok())
-            return st;
-        if (streak == 0)
-            return Status::error("scenario: zero 'l3_promote_streak'");
-        s.l3PromoteStreak = static_cast<unsigned>(streak);
-    }
+    static_cast<mc::RunSpec &>(s) = std::move(knobs.value());
+    const auto *id = json.find("id");
+    if (!id || !id->exactUint)
+        return Status::error("scenario: missing numeric field 'id'");
+    s.id = *id->exactUint;
 
     // The scenario must describe a constructible machine.
-    const auto cfg = s.toSimConfig();
-    if (auto st = cfg.mmu.validate(); !st.ok())
+    if (auto st = s.toSimConfig().mmu.validate(); !st.ok())
         return Status::error("scenario: invalid MMU config: ",
                              st.message());
     return s;

@@ -20,10 +20,10 @@
  *
  * plus optional multicore fields ("cores", "mix", ...), optional
  * virtualization fields ("vm", "host_pages", "coherence"), and optional
- * L3-tier fields ("l3", "l3_policy", "l3_promote_streak").
- *
- * written and parsed with the obs JSON substrate, so corpus files need
- * no third-party tooling to read or edit.
+ * L3-tier fields ("l3", "l3_policy", "l3_promote_streak"). The keys
+ * after "id" are the rows of the knob table (mc/run_spec.hh), written
+ * and read with the obs JSON substrate, so corpus files need no
+ * third-party tooling to read or edit.
  */
 
 #ifndef EAT_QA_SCENARIO_HH
@@ -33,9 +33,7 @@
 #include <string>
 
 #include "base/status.hh"
-#include "core/config.hh"
-#include "mc/mc_simulator.hh"
-#include "sim/simulator.hh"
+#include "mc/run_spec.hh"
 
 namespace eat::qa
 {
@@ -44,76 +42,20 @@ namespace eat::qa
 inline constexpr std::string_view kScenarioSchema = "eat.qa.scenario";
 inline constexpr int kScenarioVersion = 1;
 
-/** One fully described, replayable simulation setup. */
-struct Scenario
+/** One fully described, replayable simulation setup: the run's knobs
+ *  (mc::RunSpec) plus the campaign-derived scenario number. */
+struct Scenario : mc::RunSpec
 {
     /** Generator identity: the campaign-derived scenario number. */
     std::uint64_t id = 0;
-
-    std::string workload = "mcf";
-    core::MmuOrg org = core::MmuOrg::Thp;
-
-    std::uint64_t simInstructions = 100'000;
-    std::uint64_t fastForward = 0;
-    std::uint64_t seed = 42;
-
-    /** MPKI timeline sampling interval; 0 = off. */
-    std::uint64_t timelineInterval = 0;
-
-    /** eagerRangesPerRegion override; 0 keeps the org default. */
-    unsigned eagerRanges = 0;
-
-    /** Paper §4.4 fully associative combined L1. */
-    bool combinedL1 = false;
-
-    // Lite schedule overrides (0 / negative = keep the org default).
-    std::uint64_t liteInterval = 0;
-    double liteEpsilon = -1.0;      ///< in the org's threshold mode
-    double liteFullActProb = -1.0;
-
-    /** Fault-injection plan (fault_injector.hh grammar); empty = none. */
-    std::string faultSpec;
-
-    // --- multicore (defaults describe a single-core run; the fields
-    // are optional in seed files, so v1 corpus seeds parse unchanged).
-    unsigned cores = 1;
-    std::string mixSpec; ///< comma list; empty = just `workload`
-    bool sharedSpace = false;
-    bool ctxFlush = false;
-    std::uint64_t quantum = 100'000;
-    std::uint64_t remapInterval = 0;
-    unsigned faultCore = 0;
-
-    // --- virtualization (optional in seed files; empty = bare metal).
-    std::string vmMode;           ///< "", "identity", or "paged"
-    std::string hostPages = "4k"; ///< host page size of a paged host
-    std::string coherence;        ///< "", "ipi", or "hw"
-
-    // --- L3 translation tier (optional in seed files; empty = none).
-    std::string l3Mode;   ///< "", "cache", or "dram"
-    std::string l3Policy; ///< "", "walk", or "promote" (cache tier only)
-    unsigned l3PromoteStreak = 0; ///< promote threshold; 0 = default
-
-    /** True when the scenario runs the multicore driver. */
-    bool multicore() const { return cores > 1 || !mixSpec.empty(); }
-
-    /** True when the scenario runs under nested paging. */
-    bool virtualized() const { return !vmMode.empty(); }
-
-    /** True when the scenario configures an L3 translation tier. */
-    bool hasL3() const { return !l3Mode.empty() && l3Mode != "none"; }
-
-    /** The SimConfig this scenario describes (checker always Full). */
-    sim::SimConfig toSimConfig() const;
-
-    /** The McConfig of a multicore() scenario. */
-    mc::McConfig toMcConfig() const;
 
     /** Render as a seed-file JSON line. */
     std::string toJson() const;
 
     /** Human-readable one-line summary for logs. */
     std::string describe() const;
+
+    bool operator==(const Scenario &) const = default;
 };
 
 /** Parse a seed-file JSON document (strict: schema/version checked). */
@@ -124,9 +66,6 @@ Result<Scenario> loadScenario(const std::string &path);
 
 /** Write @p scenario to @p path as one JSON document plus newline. */
 Status saveScenario(const Scenario &scenario, const std::string &path);
-
-/** Parse an organization display name ("THP", "RMM_Lite", ...). */
-Result<core::MmuOrg> parseOrgName(std::string_view name);
 
 } // namespace eat::qa
 

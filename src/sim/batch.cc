@@ -13,7 +13,6 @@
 #include "campaign/engine.hh"
 #include "mc/mix.hh"
 #include "stats/counter.hh"
-#include "vm/host_table.hh"
 #include "stats/csv.hh"
 #include "workloads/suite.hh"
 
@@ -116,29 +115,6 @@ executeRun(const mc::McConfig &cfg, bool deliberateFail,
     return out;
 }
 
-/** Layer the sweep's nested-paging knobs onto one cell's MmuConfig. */
-void
-applyVm(const BatchOptions &options, core::MmuConfig &mmu)
-{
-    if (!options.vmEnabled)
-        return;
-    mmu.vmEnabled = true;
-    mmu.vmIdentityHost = options.vmIdentityHost;
-    mmu.hostPageSize = options.hostPageSize;
-}
-
-/** Layer the sweep's L3-tier knobs onto one cell's MmuConfig. */
-void
-applyL3(const BatchOptions &options, core::MmuConfig &mmu)
-{
-    if (options.l3Mode == l3::L3Mode::None)
-        return;
-    mmu.l3Cache.policy = options.l3Policy;
-    if (options.l3PromoteStreak > 0)
-        mmu.l3Cache.promoteStreak = options.l3PromoteStreak;
-    mmu.enableL3(options.l3Mode);
-}
-
 /** Pipe protocol: "OK\n" + one metric per line, or "ERR <message>\n". */
 std::string
 serialize(const RunOutcome &out)
@@ -218,42 +194,19 @@ finishCell(const campaign::TaskOutcome &outcome, unsigned timeoutSeconds,
 
 /**
  * Campaign identity for the checkpoint journal: the grid plus every
- * knob that changes cell results. Deliberately excludes the testing
- * aids (failCell, killAfterCells), telemetry paths, and scheduling
- * knobs (jobs, timeout, retries) — none of those change what a cell
- * computes, and resume across them must keep working.
+ * run knob, printed by the knob table. Deliberately excludes the
+ * testing aids (failCell, killAfterCells), telemetry paths, and
+ * scheduling knobs (jobs, timeout, retries) — none of those change
+ * what a cell computes, and resume across them must keep working.
  */
 std::string
 sweepFingerprint(const BatchOptions &options,
                  const std::vector<BatchRow> &rows)
 {
-    std::ostringstream os;
-    os << "eatbatch|v1";
+    std::string out = "eatbatch|v2";
     for (const auto &row : rows)
-        os << "|" << row.workload << ":" << row.org;
-    const SimConfig &b = options.base;
-    os << "|ff=" << b.fastForwardInstructions
-       << "|sim=" << b.simulateInstructions << "|seed=" << b.seed
-       << "|phys=" << b.physBytes
-       << "|eager=" << b.eagerRangesPerRegion
-       << "|check=" << static_cast<int>(b.checkLevel)
-       << "|inject=" << b.faultSpec;
-    if (options.multicore()) {
-        os << "|mc=" << options.cores << "," << options.mcShared << ","
-           << options.mcCtxFlush << "," << options.mcQuantum << ","
-           << options.mcRemapInterval << ",coh="
-           << mc::coherenceModeName(options.coherence);
-    }
-    if (options.vmEnabled) {
-        os << "|vm=" << (options.vmIdentityHost ? "identity" : "paged")
-           << "," << vm::hostPageSizeName(options.hostPageSize);
-    }
-    if (options.l3Mode != l3::L3Mode::None) {
-        os << "|l3=" << l3::l3ModeName(options.l3Mode) << ","
-           << l3::l3InsertPolicyName(options.l3Policy) << ","
-           << options.l3PromoteStreak;
-    }
-    return os.str();
+        out += "|" + row.workload + ":" + row.org;
+    return out + mc::fingerprint(options.spec);
 }
 
 /** options.jobs with 0 resolved to the hardware concurrency. */
@@ -442,20 +395,15 @@ runBatch(const BatchOptions &options, std::ostream &log)
 
     // Multicore sweep: one mix (explicit, or the selected workloads)
     // per organization; the mix name labels the row.
-    const bool mcMode = options.multicore();
-    std::vector<workloads::WorkloadSpec> mix;
-    std::string mixLabel;
-    if (mcMode) {
-        mix = options.mix.empty() ? specs : options.mix;
-        mixLabel = mc::mixName(mix);
-        if (options.cores < 1 || options.cores > mc::kMaxCores) {
-            return Status::error("core count ", options.cores,
-                                 " out of range (1..", mc::kMaxCores,
-                                 ")");
-        }
-        if (options.mcQuantum == 0)
-            return Status::error("empty scheduler quantum");
+    const bool mcMode = options.spec.multicore();
+    std::vector<workloads::WorkloadSpec> mix = specs;
+    if (mcMode && !options.spec.mixSpec.empty()) {
+        auto parsed = mc::parseMixSpec(options.spec.mixSpec);
+        if (!parsed.ok())
+            return parsed.status();
+        mix = std::move(parsed.value());
     }
+    const std::string mixLabel = mc::mixName(mix);
 
     // The checkpoint journal is the only resume record: it holds every
     // settled cell, flushed per record, under the sweep's fingerprint.
@@ -478,25 +426,19 @@ runBatch(const BatchOptions &options, std::ostream &log)
     // identical to a serial sweep. An empty status marks a cell whose
     // result is not in yet. A single-core cell is a one-core run of a
     // one-workload mix.
-    struct GridCell
-    {
-        std::vector<workloads::WorkloadSpec> mix;
-        core::MmuOrg org;
-    };
-    std::vector<GridCell> cells;
+    std::vector<mc::RunSpec> cells;
     std::vector<BatchRow> rows(gridSize);
-    {
-        std::size_t index = 0;
-        const std::size_t numRows = mcMode ? 1 : specs.size();
-        for (std::size_t w = 0; w < numRows; ++w) {
-            for (const auto org : orgs) {
-                cells.push_back(GridCell{
-                    mcMode ? mix : std::vector{specs[w]}, org});
-                BatchRow &row = rows[index];
-                row.workload = mcMode ? mixLabel : specs[w].name;
-                row.org = std::string(core::orgName(org));
-                ++index;
-            }
+    for (std::size_t w = 0; w < (mcMode ? 1 : specs.size()); ++w) {
+        for (const auto org : orgs) {
+            mc::RunSpec cell = options.spec;
+            cell.workload = mcMode ? mix.front().name : specs[w].name;
+            cell.org = org;
+            if (mcMode)
+                cell.mixSpec = mixLabel;
+            BatchRow &row = rows[cells.size()];
+            row.workload = mcMode ? mixLabel : specs[w].name;
+            row.org = std::string(core::orgName(org));
+            cells.push_back(std::move(cell));
         }
     }
 
@@ -561,21 +503,7 @@ runBatch(const BatchOptions &options, std::ostream &log)
             if (c == ',')
                 c = '+';
         }
-        mc::McConfig mcc;
-        mcc.base = options.base;
-        mcc.mix = cells[index].mix;
-        mcc.base.workload = mcc.mix.front();
-        mcc.base.mmu = core::MmuConfig::make(cells[index].org);
-        applyVm(options, mcc.base.mmu);
-        applyL3(options, mcc.base.mmu);
-        if (mcMode) {
-            mcc.cores = options.cores;
-            mcc.sharedAddressSpace = options.mcShared;
-            mcc.ctxFlush = options.mcCtxFlush;
-            mcc.quantumInstructions = options.mcQuantum;
-            mcc.remapInterval = options.mcRemapInterval;
-            mcc.coherence = options.coherence;
-        }
+        mc::McConfig mcc = cells[index].toMcConfig();
         if (!options.telemetryDir.empty()) {
             mcc.base.telemetryPath = options.telemetryDir + "/" +
                                      fileLabel + "_" + row.org + ".jsonl";

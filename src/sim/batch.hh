@@ -32,9 +32,7 @@
 #include <vector>
 
 #include "base/status.hh"
-#include "l3/l3_config.hh"
-#include "mc/mc_simulator.hh"
-#include "sim/simulator.hh"
+#include "mc/run_spec.hh"
 
 namespace eat::sim
 {
@@ -86,8 +84,16 @@ struct BatchOptions
     /** Organizations to sweep (defaults to all six when empty). */
     std::vector<core::MmuOrg> orgs;
 
-    /** Per-run template: window sizes, seed, check level, fault spec. */
-    SimConfig base;
+    /**
+     * Every cell's run knobs; each cell sets the workload, the org and
+     * (in a multicore sweep) the mix. When spec.multicore(), the grid
+     * becomes (mix x organization): one multicore run of the whole mix
+     * per organization, with the mix name in the workload column and
+     * aggregate metrics in the rows. An empty mix means the selected
+     * workloads. The vm and L3 knobs apply on top of each org, so a
+     * sweep compares organizations under the same host table and tier.
+     */
+    mc::RunSpec spec = mc::RunSpec::commandLine();
 
     /** Output CSV path (written atomically after every run). */
     std::string outPath;
@@ -136,45 +142,6 @@ struct BatchOptions
      * already exist).
      */
     std::string telemetryDir;
-
-    /**
-     * Multicore sweep: when cores > 1 or mix is non-empty, the grid
-     * becomes (mix x organization) — one multicore run of the whole
-     * mix per organization, with the mix name in the workload column
-     * and aggregate metrics in the rows. The remaining fields carry
-     * the scheduler and sharing knobs of every mc cell.
-     */
-    unsigned cores = 1;
-    std::vector<workloads::WorkloadSpec> mix;
-    bool mcShared = false;
-    bool mcCtxFlush = false;
-    std::uint64_t mcQuantum = 100'000;
-    std::uint64_t mcRemapInterval = 0;
-
-    /** Remap-invalidation cost model of every mc cell. */
-    mc::McConfig::CoherenceMode coherence =
-        mc::McConfig::CoherenceMode::Ipi;
-
-    /**
-     * Nested paging for every cell. The org-derived MmuConfig of each
-     * cell gets these applied on top, so a vm sweep compares
-     * organizations under the same host table.
-     */
-    bool vmEnabled = false;
-    bool vmIdentityHost = false;
-    vm::PageSize hostPageSize = vm::PageSize::Size4K;
-
-    /**
-     * L3 translation tier for every cell, layered onto the org-derived
-     * MmuConfig like the vm knobs above. The tier's identity enters the
-     * sweep fingerprint, so --resume refuses to splice rows from a
-     * sweep that ran a different tier.
-     */
-    l3::L3Mode l3Mode = l3::L3Mode::None;
-    l3::L3InsertPolicy l3Policy = l3::L3InsertPolicy::WalkFill;
-    unsigned l3PromoteStreak = 0; ///< 0 keeps the config default
-
-    bool multicore() const { return cores > 1 || !mix.empty(); }
 };
 
 /** The CSV header the runner writes. */

@@ -1,59 +1,36 @@
 #include "sim/report.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "base/logging.hh"
-#include "base/parse.hh"
+#include "mc/run_spec.hh"
 
 namespace eat::sim
 {
-
-namespace
-{
-
-/** Strict numeric parse for a bench flag; garbage is fatal. */
-std::uint64_t
-benchCount(const char *flag, const char *text)
-{
-    const auto r = parseU64(text);
-    if (!r.ok())
-        eat_fatal(flag, ": ", r.status().message());
-    return r.value();
-}
-
-} // namespace
 
 BenchOptions
 BenchOptions::parse(int argc, char **argv)
 {
     BenchOptions opts;
+    mc::RunFlags run(mc::kBench);
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto valueOf = [&arg](const char *prefix) -> const char * {
-            const std::size_t n = std::strlen(prefix);
-            return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n
-                                                  : nullptr;
-        };
-        if (const char *v = valueOf("--instructions=")) {
-            opts.simulateInstructions = benchCount("--instructions", v);
-        } else if (const char *v2 = valueOf("--fast-forward=")) {
-            opts.fastForwardInstructions =
-                benchCount("--fast-forward", v2);
-        } else if (const char *v3 = valueOf("--seed=")) {
-            opts.seed = benchCount("--seed", v3);
-        } else if (arg == "--csv") {
+        const std::string_view arg = argv[i];
+        if (arg == "--csv") {
             opts.csv = true;
         } else if (arg == "--quick") {
-            opts.simulateInstructions = 4'000'000;
-            opts.fastForwardInstructions = 500'000;
-        } else {
+            run.spec.simInstructions = 4'000'000;
+            run.spec.fastForward = 500'000;
+        } else if (const auto taken = run.take(arg); !taken.ok()) {
+            eat_fatal(taken.status().message());
+        } else if (!taken.value()) {
             eat_fatal("unknown bench option: ", arg,
                       " (supported: --instructions=N --fast-forward=N "
                       "--seed=N --csv --quick)");
         }
     }
+    opts.simulateInstructions = run.spec.simInstructions;
+    opts.fastForwardInstructions = run.spec.fastForward;
+    opts.seed = run.spec.seed;
     return opts;
 }
 

@@ -41,8 +41,8 @@ class BatchTest : public ::testing::Test
         BatchOptions options;
         options.workloadNames = {"mcf", "astar"};
         options.orgs = {core::MmuOrg::Thp, core::MmuOrg::Rmm};
-        options.base.fastForwardInstructions = 10'000;
-        options.base.simulateInstructions = 100'000;
+        options.spec.fastForward = 10'000;
+        options.spec.simInstructions = 100'000;
         options.outPath = csvPath_;
         return options;
     }
@@ -134,7 +134,7 @@ TEST_F(BatchTest, CrashAidReachesAMixCell)
     // Mix cells run through the one cell executor, testing aids
     // included: the crashed cell fails, its sibling completes.
     auto options = quickOptions();
-    options.cores = 2;
+    options.spec.cores = 2;
     options.failCell = "mcf,astar:RMM:crash";
     std::ostringstream log;
     const auto r = runBatch(options, log);
@@ -186,7 +186,7 @@ TEST_F(BatchTest, ResumeWithoutAJournalRunsTheWholeGrid)
     ASSERT_TRUE(first.ok()) << first.status().message();
     EXPECT_EQ(first.value().ok, 4u);
 
-    options.base.simulateInstructions = 200'000;
+    options.spec.simInstructions = 200'000;
     options.checkpointPath = csvPath_ + ".fresh.journal";
     options.resume = true;
     std::ostringstream log2;

@@ -518,8 +518,8 @@ TEST(CampaignBatch, CrashingCellIsQuarantinedAfterItsRetryBudget)
     sim::BatchOptions options;
     options.workloadNames = {"mcf"};
     options.orgs = {core::MmuOrg::Thp, core::MmuOrg::Rmm};
-    options.base.fastForwardInstructions = 10'000;
-    options.base.simulateInstructions = 100'000;
+    options.spec.fastForward = 10'000;
+    options.spec.simInstructions = 100'000;
     options.outPath = csv;
     options.failCell = "mcf:RMM:crash";
     options.retries = 1;

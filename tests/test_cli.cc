@@ -169,6 +169,25 @@ TEST(CliEatsim, RejectsInconsistentMulticoreFlags)
                   2, "single-core only");
 }
 
+TEST(CliEatsim, RejectsAnEmptyMeasuredWindow)
+{
+    expectFailure(kEatsim + " --workload=mcf --instructions=0", 2,
+                  "--instructions: must be positive");
+}
+
+TEST(CliEatsim, RejectsMulticoreFlagsWithoutCoresOrMix)
+{
+    // On one core with no mix these flags would change nothing; a run
+    // that silently ignores them is not the run that was asked for.
+    for (const std::string flag :
+         {"--remap-interval=1000", "--quantum=5000", "--fault-core=7",
+          "--shared", "--ctx-flush"}) {
+        expectFailure(kEatsim + " --workload=mcf " + flag, 2,
+                      flag.substr(0, flag.find('=')) +
+                          " requires --cores/--mix");
+    }
+}
+
 TEST(CliEatbatch, RejectsBadCoresAndMixes)
 {
     const std::string base =
@@ -177,6 +196,44 @@ TEST(CliEatbatch, RejectsBadCoresAndMixes)
     expectFailure(base + " --cores=99", 2, "out of range");
     expectFailure(base + " --mix=nosuchworkload", 2, "unknown workload");
     expectFailure(base + " --mix=", 2, "empty mix");
+}
+
+TEST(CliEatbatch, RejectsAnEmptyMeasuredWindow)
+{
+    expectFailure(kEatbatch + " --out=" + eat::test::scratchDir() +
+                      "cli_window.csv --instructions=0",
+                  2, "--instructions: must be positive");
+}
+
+TEST(CliEatbatch, RejectsMulticoreFlagsWithoutCoresOrMix)
+{
+    const std::string base =
+        kEatbatch + " --out=" + eat::test::scratchDir() + "cli_orphan.csv";
+    for (const std::string flag :
+         {"--remap-interval=1000", "--quantum=5000", "--shared",
+          "--ctx-flush"}) {
+        expectFailure(base + " " + flag, 2,
+                      flag.substr(0, flag.find('=')) +
+                          " requires --cores/--mix");
+    }
+}
+
+TEST(CliEatbatch, OneCoreRunsTheMulticoreSweep)
+{
+    // A given --cores selects the multicore driver at any count, as in
+    // eatsim: the workloads become one mix, one row per organization,
+    // and --coherence is accepted.
+    const std::string csv = eat::test::scratchDir() + "cli_one_core.csv";
+    const CmdResult result =
+        run(kEatbatch + " --out=" + csv +
+            " --cores=1 --coherence=hw --workloads=mcf,astar --orgs=THP"
+            " --instructions=20000 --fast-forward=2000 -j1");
+    ASSERT_EQ(result.exitCode, 0) << result.output;
+    std::ifstream in(csv);
+    std::string header, row, extra;
+    ASSERT_TRUE(std::getline(in, header) && std::getline(in, row));
+    EXPECT_EQ(row.rfind("\"mcf,astar\",THP,ok,", 0), 0u) << row;
+    EXPECT_FALSE(std::getline(in, extra)) << extra;
 }
 
 TEST(CliEatbatch, RejectsBadJobCounts)

@@ -200,6 +200,18 @@ TEST(Json, ParseRoundTrip)
     EXPECT_EQ(v.find("absent"), nullptr);
 }
 
+TEST(Json, ParseKeepsNonNegativeIntegersExact)
+{
+    // Doubles round integers beyond 2^53; 64-bit seeds must not move.
+    const auto big = obs::parseJson("18446744073709551615");
+    ASSERT_TRUE(big.ok());
+    EXPECT_EQ(big.value().exactUint, 18446744073709551615ull);
+    EXPECT_EQ(obs::parseJson("9007199254740993").value().exactUint,
+              9007199254740993ull);
+    for (const char *inexact : {"-1", "1.5", "1e3", "18446744073709551616"})
+        EXPECT_FALSE(obs::parseJson(inexact).value().exactUint) << inexact;
+}
+
 TEST(Json, ParseRejectsMalformedInput)
 {
     EXPECT_FALSE(parseJson("").ok());

@@ -98,6 +98,42 @@ TEST(QaScenario, RejectsMalformedSeedFiles)
               std::string::npos);
 }
 
+TEST(QaScenario, GeneratedScenariosSurviveSaveAndLoad)
+{
+    // Every field must come back exactly — 64-bit seeds beyond 2^53 and
+    // the Lite doubles included — or an archived failure replays a
+    // different run than the one that failed.
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        const auto s = qa::generateScenario(1, i);
+        const auto loaded = qa::scenarioFromJson(s.toJson());
+        ASSERT_TRUE(loaded.ok()) << s.describe() << ": "
+                                 << loaded.status().message();
+        EXPECT_TRUE(loaded.value() == s) << s.toJson();
+    }
+    const auto corpus = qa::loadScenario(std::string(EAT_CORPUS_DIR) +
+                                         "/seed-fault-unread-flips.json");
+    ASSERT_TRUE(corpus.ok()) << corpus.status().message();
+    EXPECT_EQ(corpus.value().seed, 2710387755878906669ull);
+}
+
+TEST(QaScenario, RejectsMulticoreKeysOnASingleCoreScenario)
+{
+    // One core and no mix: these knobs would change nothing, so a seed
+    // file that sets them is malformed, not silently replayed.
+    for (const char *member :
+         {"\"coherence\":\"hw\"", "\"remap_interval\":1000",
+          "\"quantum\":5000", "\"shared_space\":true",
+          "\"fault_core\":0", "\"ctx_flush\":false"}) {
+        std::string text = qa::Scenario{}.toJson();
+        text.insert(text.size() - 1, std::string(",") + member);
+        const auto parsed = qa::scenarioFromJson(text);
+        ASSERT_FALSE(parsed.ok()) << member;
+        EXPECT_NE(parsed.status().message().find("requires --cores/--mix"),
+                  std::string::npos)
+            << parsed.status().message();
+    }
+}
+
 TEST(QaScenario, RejectsInvalidFaultSpec)
 {
     qa::Scenario s;

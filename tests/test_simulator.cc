@@ -351,6 +351,13 @@ TEST(BenchOptions, RejectsUnknownFlag)
                  std::runtime_error);
 }
 
+TEST(BenchOptions, RejectsAnEmptyWindow)
+{
+    const char *argv[] = {"bench", "--instructions=0"};
+    EXPECT_THROW(BenchOptions::parse(2, const_cast<char **>(argv)),
+                 std::runtime_error);
+}
+
 TEST(Report, MeanOf)
 {
     EXPECT_DOUBLE_EQ(meanOf({}), 0.0);

@@ -39,15 +39,12 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "base/parse.hh"
 #include "campaign/retry.hh"
-#include "mc/mix.hh"
 #include "sim/batch.hh"
 #include "stats/table.hh"
-#include "vm/host_table.hh"
 #include "workloads/suite.hh"
 
 namespace
@@ -144,14 +141,7 @@ main(int argc, char **argv)
     sim::BatchOptions options;
     options.jobs = 0; // auto: one child per hardware thread
     std::string workloadsArg, orgsArg;
-    bool haveVm = false;
-    bool haveCoherence = false;
-    std::string vmModeName;
-    std::string hostPagesName;
-    std::string l3ModeName;
-    std::string l3PolicyName;
-    std::uint64_t l3PromoteStreak = 0;
-    bool haveL3Streak = false;
+    mc::RunFlags run(mc::kEatbatch);
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -175,36 +165,9 @@ main(int argc, char **argv)
             workloadsArg = v2;
         } else if (const char *v3 = value("--orgs=")) {
             orgsArg = v3;
-        } else if (const char *v4 = value("--instructions=")) {
-            options.base.simulateInstructions =
-                parseCount("--instructions", v4);
-        } else if (const char *v5 = value("--fast-forward=")) {
-            options.base.fastForwardInstructions =
-                parseCount("--fast-forward", v5);
-        } else if (const char *v6 = value("--seed=")) {
-            options.base.seed = parseCount("--seed", v6);
         } else if (const char *v7 = value("--timeout=")) {
             options.timeoutSeconds = static_cast<unsigned>(
                 parseCount("--timeout", v7));
-        } else if (const char *v8 = value("--check=")) {
-            const auto level = check::parseCheckLevel(v8);
-            if (!level.ok()) {
-                std::fprintf(stderr, "--check: %s\n",
-                             std::string(level.status().message())
-                                 .c_str());
-                return 2;
-            }
-            options.base.checkLevel = level.value();
-        } else if (const char *v9 = value("--inject=")) {
-            options.base.faultSpec = v9;
-            // Reject a malformed spec here, not in every child.
-            const auto specs = check::parseFaultSpecs(v9);
-            if (!specs.ok()) {
-                std::fprintf(stderr, "--inject: %s\n",
-                             std::string(specs.status().message())
-                                 .c_str());
-                return 2;
-            }
         } else if (const char *v10 = value("--fail-cell=")) {
             options.failCell = v10; // undocumented testing aid
         } else if (const char *v11 = value("--telemetry-dir=")) {
@@ -232,133 +195,23 @@ main(int argc, char **argv)
                 parseCount("--kill-after", v20));
         } else if (const char *v12 = value("--jobs=")) {
             setJobs(v12);
-        } else if (const char *v14 = value("--cores=")) {
-            const auto n = mc::parseCoreCount(v14);
-            if (!n.ok()) {
-                std::fprintf(stderr, "--cores: %s\n",
-                             std::string(n.status().message()).c_str());
-                return 2;
-            }
-            options.cores = n.value();
-        } else if (const char *v15 = value("--mix=")) {
-            auto mix = mc::parseMixSpec(v15);
-            if (!mix.ok()) {
-                std::fprintf(stderr, "--mix: %s\n",
-                             std::string(mix.status().message()).c_str());
-                return 2;
-            }
-            options.mix = std::move(mix.value());
-        } else if (const char *v16 = value("--quantum=")) {
-            options.mcQuantum = parseCount("--quantum", v16);
-            if (options.mcQuantum == 0) {
-                std::fprintf(stderr, "--quantum: must be positive\n");
-                return 2;
-            }
-        } else if (const char *v17 = value("--remap-interval=")) {
-            options.mcRemapInterval =
-                parseCount("--remap-interval", v17);
-        } else if (const char *vcoh = value("--coherence=")) {
-            const auto mode = mc::coherenceModeFromName(vcoh);
-            if (!mode.ok()) {
-                std::fprintf(stderr, "--coherence: %s\n",
-                             std::string(mode.status().message())
-                                 .c_str());
-                return 2;
-            }
-            options.coherence = mode.value();
-            haveCoherence = true;
-        } else if (arg == "--vm") {
-            haveVm = true;
-            vmModeName = "paged";
-        } else if (const char *vvm = value("--vm=")) {
-            haveVm = true;
-            vmModeName = vvm;
-        } else if (const char *vhp = value("--host-pages=")) {
-            hostPagesName = vhp;
-        } else if (const char *vl3 = value("--l3=")) {
-            l3ModeName = vl3;
-        } else if (const char *vl3p = value("--l3-policy=")) {
-            l3PolicyName = vl3p;
-        } else if (const char *vl3s = value("--l3-promote-streak=")) {
-            l3PromoteStreak = parseCount("--l3-promote-streak", vl3s);
-            haveL3Streak = true;
-        } else if (arg == "--shared") {
-            options.mcShared = true;
-        } else if (arg == "--ctx-flush") {
-            options.mcCtxFlush = true;
         } else if (const char *v13 = value("-j")) {
             setJobs(v13);
         } else if (arg == "--resume") {
             options.resume = true;
         } else {
-            usage(argv[0]);
+            const auto taken = run.take(arg);
+            if (!taken.ok()) {
+                std::fprintf(stderr, "%s\n",
+                             taken.status().message().c_str());
+                return 2;
+            }
+            if (!taken.value())
+                usage(argv[0]);
         }
     }
     if (options.outPath.empty())
         usage(argv[0]);
-    if (haveCoherence && !options.multicore()) {
-        std::fprintf(stderr, "--coherence requires --cores/--mix\n");
-        return 2;
-    }
-    if (haveVm) {
-        const auto mode = vm::hostModeFromName(vmModeName);
-        if (!mode.ok()) {
-            std::fprintf(stderr, "--vm: %s\n",
-                         std::string(mode.status().message()).c_str());
-            return 2;
-        }
-        options.vmEnabled = true;
-        options.vmIdentityHost = mode.value() == vm::HostMode::Identity;
-    }
-    if (!hostPagesName.empty()) {
-        if (!haveVm) {
-            std::fprintf(stderr, "--host-pages requires --vm\n");
-            return 2;
-        }
-        const auto size = vm::hostPageSizeFromName(hostPagesName);
-        if (!size.ok()) {
-            std::fprintf(stderr, "--host-pages: %s\n",
-                         std::string(size.status().message()).c_str());
-            return 2;
-        }
-        options.hostPageSize = size.value();
-    }
-    if (!l3ModeName.empty()) {
-        const auto mode = l3::l3ModeFromName(l3ModeName);
-        if (!mode.ok()) {
-            std::fprintf(stderr, "--l3: %s\n",
-                         std::string(mode.status().message()).c_str());
-            return 2;
-        }
-        options.l3Mode = mode.value();
-    }
-    if (!l3PolicyName.empty()) {
-        if (options.l3Mode != l3::L3Mode::Cache) {
-            std::fprintf(stderr, "--l3-policy requires --l3=cache\n");
-            return 2;
-        }
-        const auto policy = l3::l3InsertPolicyFromName(l3PolicyName);
-        if (!policy.ok()) {
-            std::fprintf(stderr, "--l3-policy: %s\n",
-                         std::string(policy.status().message()).c_str());
-            return 2;
-        }
-        options.l3Policy = policy.value();
-    }
-    if (haveL3Streak) {
-        if (options.l3Policy != l3::L3InsertPolicy::PtePromote) {
-            std::fprintf(stderr, "--l3-promote-streak requires "
-                                 "--l3-policy=promote\n");
-            return 2;
-        }
-        if (l3PromoteStreak == 0) {
-            std::fprintf(stderr,
-                         "--l3-promote-streak: must be positive\n");
-            return 2;
-        }
-        options.l3PromoteStreak =
-            static_cast<unsigned>(l3PromoteStreak);
-    }
 
     if (workloadsArg.empty()) {
         for (const auto &w : workloads::tlbIntensiveSuite())
@@ -366,20 +219,22 @@ main(int argc, char **argv)
     } else {
         options.workloadNames = splitCommas(workloadsArg);
     }
+    std::string workloadList;
+    for (const auto &name : options.workloadNames)
+        workloadList += (workloadList.empty() ? "" : ",") + name;
+    run.defaultMix(workloadList);
+    if (const Status st = run.check(); !st.ok()) {
+        std::fprintf(stderr, "%s\n", st.message().c_str());
+        return 2;
+    }
+    options.spec = run.spec;
     for (const auto &name : splitCommas(orgsArg)) {
-        bool found = false;
-        for (const auto org : core::allOrgs()) {
-            if (name == core::orgName(org)) {
-                options.orgs.push_back(org);
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            std::fprintf(stderr, "unknown organization '%s'\n",
-                         name.c_str());
+        const auto org = mc::parseOrgName(name);
+        if (!org.ok()) {
+            std::fprintf(stderr, "%s\n", org.status().message().c_str());
             return 2;
         }
+        options.orgs.push_back(org.value());
     }
 
     const auto result = sim::runBatch(options, std::cout);
@@ -410,7 +265,7 @@ main(int argc, char **argv)
     // After a multicore sweep, print the per-mix organization table
     // (paper Figure 10 shape): absolute and normalized energy and
     // miss cycles per organization, from the finished rows.
-    if (options.multicore() && s.ok + s.resumed > 0) {
+    if (options.spec.multicore() && s.ok + s.resumed > 0) {
         const auto rows = sim::loadBatchRows(options.outPath);
         if (!rows.empty()) {
             // Metric columns (see batchCsvHeader): 1 l1_mpki,
@@ -418,7 +273,7 @@ main(int argc, char **argv)
             const double baseEnergy = std::stod(rows.front().metrics[4]);
             const double baseCycles = std::stod(rows.front().metrics[3]);
             std::cout << "\nmix " << rows.front().workload << " on "
-                      << options.cores << " cores (normalized to "
+                      << options.spec.cores << " cores (normalized to "
                       << rows.front().org << "):\n";
             stats::TextTable table({"org", "pJ/KI", "norm energy",
                                     "miss-cyc/KI", "norm cycles",

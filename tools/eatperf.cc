@@ -363,9 +363,10 @@ main(int argc, char **argv)
     const std::vector<std::string> sweepWorkloads{"mcf", "astar"};
     sim::BatchOptions batchTemplate;
     batchTemplate.workloadNames = sweepWorkloads;
-    batchTemplate.base.simulateInstructions = instructions;
-    batchTemplate.base.fastForwardInstructions = fastForward;
-    batchTemplate.base.seed = 42;
+    batchTemplate.spec.simInstructions = instructions;
+    batchTemplate.spec.fastForward = fastForward;
+    batchTemplate.spec.seed = 42;
+    const sim::SimConfig base = batchTemplate.spec.toSimConfig();
 
     // --- leg 1: per-organization sim-KIPS, in-process ---
     const auto kipsSpec = workloads::findWorkload("mcf");
@@ -376,7 +377,7 @@ main(int argc, char **argv)
     std::vector<std::pair<std::string, double>> kipsNow;
     std::string kipsArray = "[";
     for (const auto org : core::allOrgs()) {
-        sim::SimConfig cfg = batchTemplate.base;
+        sim::SimConfig cfg = base;
         cfg.workload = *kipsSpec;
         cfg.mmu = core::MmuConfig::make(org);
         std::vector<double> kipsSamples, wallSamples;
@@ -413,7 +414,7 @@ main(int argc, char **argv)
     std::string mcArray = "[";
     for (const unsigned cores : {1u, 2u, 4u}) {
         mc::McConfig mcc;
-        mcc.base = batchTemplate.base;
+        mcc.base = base;
         mcc.base.workload = mcMix.value().front();
         mcc.base.mmu = core::MmuConfig::make(core::MmuOrg::TlbLite);
         mcc.cores = cores;
@@ -450,7 +451,7 @@ main(int argc, char **argv)
     std::string vmArray = "[";
     for (const bool identity : {true, false}) {
         const std::string mode = identity ? "identity" : "paged";
-        sim::SimConfig cfg = batchTemplate.base;
+        sim::SimConfig cfg = base;
         cfg.workload = *kipsSpec;
         cfg.mmu = core::MmuConfig::make(core::MmuOrg::Thp);
         cfg.mmu.vmEnabled = true;
@@ -489,7 +490,7 @@ main(int argc, char **argv)
     for (const auto l3Mode :
          {l3::L3Mode::None, l3::L3Mode::Cache, l3::L3Mode::Dram}) {
         const std::string mode = std::string(l3::l3ModeName(l3Mode));
-        sim::SimConfig cfg = batchTemplate.base;
+        sim::SimConfig cfg = base;
         cfg.workload = *kipsSpec;
         // The TLB_L3$ shape: Lite on 4 KB pages, no THP — the tier
         // holds 4 KB-granule entries only, so a THP organization would

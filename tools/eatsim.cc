@@ -27,16 +27,11 @@
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "base/parse.hh"
-#include "l3/l3_config.hh"
-#include "mc/mc_simulator.hh"
 #include "mc/mix.hh"
-#include "sim/simulator.hh"
+#include "mc/run_spec.hh"
 #include "stats/table.hh"
-#include "vm/host_table.hh"
 #include "workloads/suite.hh"
 
 namespace
@@ -103,30 +98,6 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-/** Parse a numeric flag value strictly; bad input is a usage error. */
-std::uint64_t
-parseCount(const char *flag, const std::string &text)
-{
-    const auto r = parseU64(text);
-    if (!r.ok()) {
-        std::fprintf(stderr, "%s: %s\n", flag,
-                     r.status().message().c_str());
-        std::exit(2);
-    }
-    return r.value();
-}
-
-core::MmuOrg
-parseOrg(const std::string &name)
-{
-    for (const auto org : core::allOrgs()) {
-        if (name == core::orgName(org))
-            return org;
-    }
-    std::fprintf(stderr, "unknown organization '%s'\n", name.c_str());
-    std::exit(2);
-}
-
 void
 listWorkloads()
 {
@@ -138,6 +109,31 @@ listWorkloads()
                       w.tlbIntensive ? "yes" : "no"});
     }
     table.print(std::cout);
+}
+
+/** The last lines of both reports: what the run's output streams got.
+ *  Telemetry and trace counts are the first core's. */
+void
+printStreams(const sim::SimResult &core0, bool provenanceEnabled,
+             const obs::ProvSummary &p)
+{
+    if (core0.telemetryRecords > 0) {
+        std::cout << "telemetry: " << core0.telemetryRecords
+                  << " interval records\n";
+    }
+    if (core0.traceEvents > 0) {
+        std::cout << "trace: " << core0.traceEvents << " events";
+        if (core0.traceEventsDropped > 0)
+            std::cout << " (" << core0.traceEventsDropped << " dropped)";
+        std::cout << "\n";
+    }
+    if (provenanceEnabled) {
+        std::cout << "provenance: " << p.eventsWritten << " of "
+                  << p.events << " events written ("
+                  << p.translationsSampled << " of " << p.translations
+                  << " translation paths, 1-in-" << p.sampleEvery
+                  << " sampling; summary totals exact)\n";
+    }
 }
 
 void
@@ -272,24 +268,7 @@ printReport(const sim::SimResult &r)
     std::cout << " | total "
               << stats::TextTable::num(r.profile.total(), 2) << "s, "
               << stats::TextTable::num(r.simKips(), 0) << " sim-KIPS\n";
-    if (r.telemetryRecords > 0) {
-        std::cout << "telemetry: " << r.telemetryRecords
-                  << " interval records\n";
-    }
-    if (r.traceEvents > 0) {
-        std::cout << "trace: " << r.traceEvents << " events";
-        if (r.traceEventsDropped > 0)
-            std::cout << " (" << r.traceEventsDropped << " dropped)";
-        std::cout << "\n";
-    }
-    if (r.provenanceEnabled) {
-        const auto &p = r.provenance;
-        std::cout << "provenance: " << p.eventsWritten << " of "
-                  << p.events << " events written ("
-                  << p.translationsSampled << " of " << p.translations
-                  << " translation paths, 1-in-" << p.sampleEvery
-                  << " sampling; summary totals exact)\n";
-    }
+    printStreams(r, r.provenanceEnabled, r.provenance);
 }
 
 void
@@ -395,26 +374,7 @@ printMcReport(const mc::McResult &r)
               << stats::TextTable::num(r.profile.total(), 2) << "s, "
               << stats::TextTable::num(r.simKips(), 0)
               << " aggregate sim-KIPS\n";
-    if (r.perCore[0].telemetryRecords > 0) {
-        std::cout << "telemetry: " << r.perCore[0].telemetryRecords
-                  << " interval records\n";
-    }
-    if (r.perCore[0].traceEvents > 0) {
-        std::cout << "trace: " << r.perCore[0].traceEvents << " events";
-        if (r.perCore[0].traceEventsDropped > 0) {
-            std::cout << " (" << r.perCore[0].traceEventsDropped
-                      << " dropped)";
-        }
-        std::cout << "\n";
-    }
-    if (r.provenanceEnabled) {
-        const auto &p = r.provenance;
-        std::cout << "provenance: " << p.eventsWritten << " of "
-                  << p.events << " events written ("
-                  << p.translationsSampled << " of " << p.translations
-                  << " translation paths, 1-in-" << p.sampleEvery
-                  << " sampling; summary totals exact)\n";
-    }
+    printStreams(r.perCore[0], r.provenanceEnabled, r.provenance);
 }
 
 } // namespace
@@ -425,27 +385,9 @@ main(int argc, char **argv)
     std::string workloadName;
     std::string orgName = "THP";
     std::string recordPath, replayPath;
-    sim::SimConfig cfg;
-    cfg.simulateInstructions = 20'000'000;
-
-    bool combined = false;
+    sim::SimConfig outputs; // the observability paths
     bool provSampleSet = false;
-    bool haveCores = false;
-    unsigned coreCount = 1;
-    std::vector<workloads::WorkloadSpec> mixSpecs;
-    bool shared = false;
-    bool ctxFlush = false;
-    std::uint64_t quantum = 100'000;
-    std::uint64_t remapInterval = 0;
-    std::uint64_t faultCore = 0;
-    bool haveVm = false;
-    std::string vmModeName;
-    std::string hostPagesName;
-    std::string coherenceName;
-    std::string l3ModeName;
-    std::string l3PolicyName;
-    std::uint64_t l3PromoteStreak = 0;
-    bool haveL3Streak = false;
+    mc::RunFlags run(mc::kEatsim);
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&arg](const char *prefix) -> const char * {
@@ -460,298 +402,118 @@ main(int argc, char **argv)
             workloadName = v;
         } else if (const char *v2 = value("--org=")) {
             orgName = v2;
-        } else if (const char *v3 = value("--instructions=")) {
-            cfg.simulateInstructions = parseCount("--instructions", v3);
-        } else if (const char *v4 = value("--fast-forward=")) {
-            cfg.fastForwardInstructions = parseCount("--fast-forward", v4);
-        } else if (const char *v5 = value("--seed=")) {
-            cfg.seed = parseCount("--seed", v5);
-        } else if (const char *v6 = value("--timeline=")) {
-            cfg.timelineInterval = parseCount("--timeline", v6);
         } else if (const char *v7 = value("--record=")) {
             recordPath = v7;
         } else if (const char *v8 = value("--replay=")) {
             replayPath = v8;
-        } else if (const char *v9 = value("--check=")) {
-            const auto level = check::parseCheckLevel(v9);
-            if (!level.ok()) {
-                std::fprintf(stderr, "--check: %s\n",
-                             level.status().message().c_str());
-                return 2;
-            }
-            cfg.checkLevel = level.value();
-        } else if (const char *v10 = value("--inject=")) {
-            cfg.faultSpec = v10;
-            const auto specs = check::parseFaultSpecs(v10);
-            if (!specs.ok()) {
-                std::fprintf(stderr, "--inject: %s\n",
-                             specs.status().message().c_str());
-                return 2;
-            }
         } else if (const char *v11 = value("--metrics=")) {
-            cfg.metricsPath = v11;
+            outputs.metricsPath = v11;
         } else if (const char *v12 = value("--telemetry=")) {
-            cfg.telemetryPath = v12;
+            outputs.telemetryPath = v12;
         } else if (const char *v13 = value("--trace-out=")) {
-            cfg.traceOutPath = v13;
+            outputs.traceOutPath = v13;
         } else if (const char *vp = value("--provenance=")) {
             if (*vp == '\0') {
                 std::fprintf(stderr,
                              "--provenance: empty output path\n");
                 return 2;
             }
-            cfg.provenancePath = vp;
+            outputs.provenancePath = vp;
         } else if (const char *vs = value("--prov-sample=")) {
-            cfg.provenanceSampleEvery = parseCount("--prov-sample", vs);
-            if (cfg.provenanceSampleEvery == 0) {
+            const auto n = parseU64(vs);
+            if (!n.ok()) {
+                std::fprintf(stderr, "--prov-sample: %s\n",
+                             n.status().message().c_str());
+                return 2;
+            }
+            if (n.value() == 0) {
                 std::fprintf(stderr,
                              "--prov-sample: must be >= 1 (1 = trace "
                              "every translation)\n");
                 return 2;
             }
+            outputs.provenanceSampleEvery = n.value();
             provSampleSet = true;
-        } else if (const char *v14 = value("--cores=")) {
-            const auto n = mc::parseCoreCount(v14);
-            if (!n.ok()) {
-                std::fprintf(stderr, "--cores: %s\n",
-                             n.status().message().c_str());
-                return 2;
-            }
-            coreCount = n.value();
-            haveCores = true;
-        } else if (const char *v15 = value("--mix=")) {
-            auto mix = mc::parseMixSpec(v15);
-            if (!mix.ok()) {
-                std::fprintf(stderr, "--mix: %s\n",
-                             mix.status().message().c_str());
-                return 2;
-            }
-            mixSpecs = std::move(mix.value());
-        } else if (const char *v16 = value("--quantum=")) {
-            quantum = parseCount("--quantum", v16);
-            if (quantum == 0) {
-                std::fprintf(stderr,
-                             "--quantum: must be positive\n");
-                return 2;
-            }
-        } else if (const char *v17 = value("--remap-interval=")) {
-            remapInterval = parseCount("--remap-interval", v17);
-        } else if (const char *v18 = value("--fault-core=")) {
-            faultCore = parseCount("--fault-core", v18);
-        } else if (arg == "--vm") {
-            haveVm = true;
-            vmModeName = "paged";
-        } else if (const char *vvm = value("--vm=")) {
-            haveVm = true;
-            vmModeName = vvm;
-        } else if (const char *vhp = value("--host-pages=")) {
-            hostPagesName = vhp;
-        } else if (const char *vcoh = value("--coherence=")) {
-            coherenceName = vcoh;
-        } else if (const char *vl3 = value("--l3=")) {
-            l3ModeName = vl3;
-        } else if (const char *vl3p = value("--l3-policy=")) {
-            l3PolicyName = vl3p;
-        } else if (const char *vl3s = value("--l3-promote-streak=")) {
-            l3PromoteStreak = parseCount("--l3-promote-streak", vl3s);
-            haveL3Streak = true;
-        } else if (arg == "--shared") {
-            shared = true;
-        } else if (arg == "--ctx-flush") {
-            ctxFlush = true;
-        } else if (arg == "--combined-l1") {
-            combined = true;
         } else {
-            usage(argv[0]);
+            const auto taken = run.take(arg);
+            if (!taken.ok()) {
+                std::fprintf(stderr, "%s\n",
+                             taken.status().message().c_str());
+                return 2;
+            }
+            if (!taken.value())
+                usage(argv[0]);
         }
     }
-    const bool multicore = haveCores || !mixSpecs.empty();
-    if (workloadName.empty() && mixSpecs.empty())
+    if (workloadName.empty() && run.spec.mixSpec.empty())
         usage(argv[0]);
-    if (provSampleSet && cfg.provenancePath.empty()) {
+    if (provSampleSet && outputs.provenancePath.empty()) {
         std::fprintf(stderr,
                      "--prov-sample requires --provenance=PATH\n");
         return 2;
     }
-
-    vm::HostMode hostMode = vm::HostMode::Paged;
-    if (haveVm) {
-        const auto mode = vm::hostModeFromName(vmModeName);
-        if (!mode.ok()) {
-            std::fprintf(stderr, "--vm: %s\n",
-                         mode.status().message().c_str());
-            return 2;
-        }
-        hostMode = mode.value();
-    }
-    vm::PageSize hostPageSize = vm::PageSize::Size4K;
-    if (!hostPagesName.empty()) {
-        if (!haveVm) {
-            std::fprintf(stderr, "--host-pages requires --vm\n");
-            return 2;
-        }
-        const auto size = vm::hostPageSizeFromName(hostPagesName);
-        if (!size.ok()) {
-            std::fprintf(stderr, "--host-pages: %s\n",
-                         size.status().message().c_str());
-            return 2;
-        }
-        hostPageSize = size.value();
-    }
-    // Orphaned L3 tuning flags describe nothing: reject them rather
-    // than silently run a different machine than the user asked for.
-    l3::L3Mode l3Mode = l3::L3Mode::None;
-    if (!l3ModeName.empty()) {
-        const auto mode = l3::l3ModeFromName(l3ModeName);
-        if (!mode.ok()) {
-            std::fprintf(stderr, "--l3: %s\n",
-                         mode.status().message().c_str());
-            return 2;
-        }
-        l3Mode = mode.value();
-    }
-    l3::L3InsertPolicy l3Policy = l3::L3InsertPolicy::WalkFill;
-    if (!l3PolicyName.empty()) {
-        if (l3Mode != l3::L3Mode::Cache) {
-            std::fprintf(stderr,
-                         "--l3-policy requires --l3=cache\n");
-            return 2;
-        }
-        const auto policy = l3::l3InsertPolicyFromName(l3PolicyName);
-        if (!policy.ok()) {
-            std::fprintf(stderr, "--l3-policy: %s\n",
-                         policy.status().message().c_str());
-            return 2;
-        }
-        l3Policy = policy.value();
-    }
-    if (haveL3Streak) {
-        if (l3Policy != l3::L3InsertPolicy::PtePromote) {
-            std::fprintf(stderr,
-                         "--l3-promote-streak requires "
-                         "--l3-policy=promote\n");
-            return 2;
-        }
-        if (l3PromoteStreak == 0) {
-            std::fprintf(stderr,
-                         "--l3-promote-streak: must be positive\n");
-            return 2;
-        }
-    }
-
-    mc::McConfig::CoherenceMode coherence =
-        mc::McConfig::CoherenceMode::Ipi;
-    if (!coherenceName.empty()) {
-        const auto mode = mc::coherenceModeFromName(coherenceName);
-        if (!mode.ok()) {
-            std::fprintf(stderr, "--coherence: %s\n",
-                         mode.status().message().c_str());
-            return 2;
-        }
-        coherence = mode.value();
-        if (!multicore) {
-            std::fprintf(stderr,
-                         "--coherence requires --cores/--mix\n");
-            return 2;
-        }
-    }
-
     if (workloadName.empty()) {
-        cfg.workload = mixSpecs.front();
-    } else {
-        const auto spec = workloads::findWorkload(workloadName);
-        if (!spec) {
-            std::fprintf(stderr,
-                         "unknown workload '%s' (try --list)\n",
-                         workloadName.c_str());
-            return 2;
-        }
-        cfg.workload = *spec;
+        workloadName =
+            mc::parseMixSpec(run.spec.mixSpec).value().front().name;
+    } else if (!workloads::findWorkload(workloadName)) {
+        std::fprintf(stderr, "unknown workload '%s' (try --list)\n",
+                     workloadName.c_str());
+        return 2;
     }
-    cfg.mmu = core::MmuConfig::make(parseOrg(orgName));
-    cfg.mmu.combinedFullyAssocL1 = combined;
-    if (haveVm) {
-        cfg.mmu.vmEnabled = true;
-        cfg.mmu.vmIdentityHost = hostMode == vm::HostMode::Identity;
-        cfg.mmu.hostPageSize = hostPageSize;
+    run.spec.workload = workloadName;
+    const auto org = mc::parseOrgName(orgName);
+    if (!org.ok()) {
+        std::fprintf(stderr, "%s\n", org.status().message().c_str());
+        return 2;
     }
-    if (l3Mode != l3::L3Mode::None) {
-        cfg.mmu.l3Cache.policy = l3Policy;
-        if (haveL3Streak) {
-            cfg.mmu.l3Cache.promoteStreak =
-                static_cast<unsigned>(l3PromoteStreak);
-        }
-        cfg.mmu.enableL3(l3Mode);
+    run.spec.org = org.value();
+    run.defaultMix(workloadName);
+    const bool multicore = run.spec.multicore();
+    if (const Status st = run.check(); !st.ok()) {
+        std::fprintf(stderr, "%s\n", st.message().c_str());
+        return 2;
     }
-
-    if (multicore) {
-        if (!recordPath.empty() || !replayPath.empty()) {
-            std::fprintf(stderr,
-                         "--record/--replay are single-core only\n");
-            return 2;
-        }
-        if (faultCore >= coreCount) {
-            std::fprintf(stderr,
-                         "--fault-core: core %llu beyond core count %u\n",
-                         static_cast<unsigned long long>(faultCore),
-                         coreCount);
-            return 2;
-        }
+    if (multicore && (!recordPath.empty() || !replayPath.empty())) {
+        std::fprintf(stderr, "--record/--replay are single-core only\n");
+        return 2;
     }
 
     // Error boundary: library code reports problems by throwing (fatal)
     // or returning Status; here they become an exit code and a message.
     try {
-        if (multicore) {
-            mc::McConfig mcc;
-            mcc.base = cfg;
-            mcc.cores = coreCount;
-            mcc.mix = mixSpecs.empty()
-                          ? std::vector<workloads::WorkloadSpec>{
-                                cfg.workload}
-                          : std::move(mixSpecs);
-            mcc.sharedAddressSpace = shared;
-            mcc.ctxFlush = ctxFlush;
-            mcc.quantumInstructions = quantum;
-            mcc.remapInterval = remapInterval;
-            mcc.faultCore = static_cast<unsigned>(faultCore);
-            mcc.coherence = coherence;
+        mc::McConfig mcc = run.spec.toMcConfig();
+        mcc.base.metricsPath = outputs.metricsPath;
+        mcc.base.telemetryPath = outputs.telemetryPath;
+        mcc.base.traceOutPath = outputs.traceOutPath;
+        mcc.base.provenancePath = outputs.provenancePath;
+        mcc.base.provenanceSampleEvery = outputs.provenanceSampleEvery;
+        const sim::SimConfig &cfg = mcc.base;
 
+        std::uint64_t mismatches = 0;
+        if (multicore) {
             const auto result = mc::mcSimulate(mcc);
             printMcReport(result);
-
-            std::uint64_t mismatches = 0;
             for (const auto &c : result.perCore)
                 mismatches += c.check.mismatches();
-            if (cfg.faultSpec.empty() && mismatches > 0) {
-                std::fprintf(
-                    stderr,
-                    "eatsim: self-check FAILED with %llu mismatches\n",
-                    static_cast<unsigned long long>(mismatches));
-                return 3;
-            }
-            return 0;
-        }
-
-        if (!recordPath.empty()) {
+        } else if (!recordPath.empty()) {
             const auto n = sim::recordTrace(cfg, recordPath);
             std::cout << "recorded " << n << " operations to "
                       << recordPath << "\n";
             return 0;
+        } else {
+            const auto result = replayPath.empty()
+                                    ? sim::simulate(cfg)
+                                    : sim::simulateFromTrace(cfg, replayPath);
+            printReport(result);
+            mismatches = result.check.mismatches();
         }
-
-        const auto result = replayPath.empty()
-                                ? sim::simulate(cfg)
-                                : sim::simulateFromTrace(cfg, replayPath);
-        printReport(result);
 
         // Mismatches with no injection running mean the simulator (or
         // the checker) is broken: make the run loudly non-zero.
-        if (cfg.faultSpec.empty() && result.check.mismatches() > 0) {
+        if (cfg.faultSpec.empty() && mismatches > 0) {
             std::fprintf(stderr,
                          "eatsim: self-check FAILED with %llu mismatches\n",
-                         static_cast<unsigned long long>(
-                             result.check.mismatches()));
+                         static_cast<unsigned long long>(mismatches));
             return 3;
         }
         return 0;
