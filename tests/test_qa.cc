@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mc/mc_simulator.hh"
 #include "qa/campaign.hh"
 #include "qa/generator.hh"
 #include "qa/oracles.hh"
@@ -303,6 +304,48 @@ TEST(QaOracles, SelfTestProvesTheOraclesHaveTeeth)
     std::ostringstream log;
     const Status s = qa::runSelfTest(log);
     EXPECT_TRUE(s.ok()) << s.message() << "\nlog:\n" << log.str();
+}
+
+/** FNV-1a 64 of @p bytes. */
+std::uint64_t
+fnv64(const std::string &bytes)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(QaCampaign, SeedOneOutcomesMatchTheirGoldenDigests)
+{
+    // Pins the datapath's outcome on the first 100 scenarios of the
+    // seed-1 campaign, which cover every organization, the combined
+    // L1, both L3 substrates, nested paging, multicore and fault
+    // plans. Each line of the golden file is the FNV-1a 64 of the
+    // verdict digest `eatfuzz --seed=1` records for that scenario.
+    const std::string path =
+        std::string(EAT_CORPUS_DIR) + "/../golden/campaign_digests.txt";
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "missing golden digest file " << path;
+
+    std::uint64_t index = 0;
+    std::string hex;
+    unsigned checked = 0;
+    while (in >> index >> hex) {
+        const auto s = qa::generateScenario(1, index);
+        const auto r = mc::mcSimulate(s.toMcConfig());
+        const std::string digest = s.multicore()
+                                       ? qa::mcResultDigest(r)
+                                       : qa::resultDigest(r.perCore[0]);
+        EXPECT_EQ(fnv64(digest), std::stoull(hex, nullptr, 16))
+            << "scenario " << index << " (" << s.describe()
+            << ") changed outcome; new digest hash " << std::hex
+            << fnv64(digest) << std::dec;
+        ++checked;
+    }
+    EXPECT_EQ(checked, 100u);
 }
 
 TEST(QaCampaign, SmallCampaignIsCleanAndDeterministic)
