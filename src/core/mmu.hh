@@ -7,20 +7,34 @@
  * applies the Table-3 cycle model, and drives the Lite controller at
  * interval boundaries.
  *
- * Lookup datapath per memory operation:
+ * The constructor describes each metered structure once (one Structure
+ * per obs::ProvStruct id: its meter, coefficients, static mask, report
+ * row and metric name); everything that covers "all structures" —
+ * context switches, shootdowns, leakage, reports, metrics — iterates
+ * those descriptions. access() runs four stages, each a member
+ * function that returns true once it has served the translation:
  *
- *   1. All *enabled* L1 structures are searched in parallel (each one
- *      charged a read). A structure for a page size (or for ranges) is
- *      statically masked — zero energy — until the first walk fetches
- *      an entry of its kind (paper §3.1).
- *   2. On an L1 miss, the enabled L2 structures are searched in
- *      parallel (7 cycles). An L2-page hit refills the matching L1
+ *   1. L1 stage: every *enabled* L1 structure is searched in parallel
+ *      and charged a read. One probe helper covers each L1 page TLB
+ *      (the 4 KB, mixed or combined TLB, then the 2 MB and 1 GB TLBs
+ *      once unmasked); when the L1-range TLB hits, the page TLBs are
+ *      charged but not looked up (DESIGN §5.1). A structure for a page
+ *      size (or for ranges) is statically masked — zero energy — until
+ *      the first fill of its kind (paper §3.1).
+ *   2. L2 stage: on an L1 miss the enabled L2 structures are searched
+ *      in parallel (7 cycles). An L2-page hit refills the matching L1
  *      TLB; an L2-range hit refills the L1-range TLB (if present) and
- *      a synthesized 4 KB entry into the L1-4KB TLB (RMM semantics).
- *   3. On an L2 miss, the page walk runs (50 cycles): the MMU caches
- *      determine the 1-4 memory references, and in RMM configurations
- *      the range-table walker additionally runs in the background
- *      (energy, no cycles) and refills the L2-range TLB.
+ *      a synthesized page entry into the L1 (RMM semantics).
+ *   3. L3 stage: with an L3 tier configured, an L2 miss probes it; a
+ *      hit refills the L1 and L2 TLBs and skips the walk.
+ *   4. Walk stage: the page walk (50 cycles). The MMU caches determine
+ *      the 1-4 memory references; in RMM configurations the range-table
+ *      walker also runs in the background (energy, no cycles) and
+ *      refills the L2-range TLB.
+ *
+ * Every fill goes through one helper (lift the static mask, charge the
+ * write, fill, record the eviction). TLB_PP's predicted page size is
+ * computed once per access and indexes both mixed TLBs.
  */
 
 #ifndef EAT_CORE_MMU_HH
@@ -29,6 +43,8 @@
 #include <array>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "check/shadow_checker.hh"
@@ -83,6 +99,10 @@ class Mmu
      */
     Mmu(const MmuConfig &config, const vm::PageTable &pageTable,
         const vm::RangeTable *rangeTable);
+
+    // The structure descriptions point into this object.
+    Mmu(const Mmu &) = delete;
+    Mmu &operator=(const Mmu &) = delete;
 
     /** Translate one memory operation at @p vaddr. */
     void access(Addr vaddr);
@@ -246,35 +266,129 @@ class Mmu
     l3::CacheTlb *l3CacheTlb() { return l3Cache_.get(); }
     l3::DramTlb *l3DramTlb() { return l3Dram_.get(); }
 
-    bool l1Tlb2MEnabled() const { return enabled2M_; }
-    bool l1RangeEnabled() const { return enabledL1Range_; }
-    bool l2RangeEnabled() const { return enabledL2Range_; }
+    bool
+    l1Tlb2MEnabled() const
+    {
+        return at(obs::ProvStruct::L1Tlb2M).enabled;
+    }
+    bool
+    l1RangeEnabled() const
+    {
+        return at(obs::ProvStruct::L1Range).enabled;
+    }
+    bool
+    l2RangeEnabled() const
+    {
+        return at(obs::ProvStruct::L2Range).enabled;
+    }
 
   private:
-    /** A structure's energy meter plus its (resizable) coefficients. */
-    struct Metered
+    /**
+     * One metered structure of the organization, described once by the
+     * constructor and stored at its obs::ProvStruct index.
+     */
+    struct Structure
     {
-        energy::EnergyMeter meter;
-        /** Read/write coefficients indexed by log2(active ways); fixed
-         *  structures use index 0 only. */
-        std::vector<energy::EnergyCoefficients> coeffByLogWays;
-        MilliWatts fullLeakage = 0.0;
+        /** Static mask lifted (paper §3.1): the structure draws energy
+         *  only after the first fill of its kind. Structures without a
+         *  mask start enabled; ones this organization lacks never are. */
+        bool enabled = false;
+        bool built = false;
         obs::ProvStruct id = obs::ProvStruct::None;
+        /** The cache this meter charges. Null for the paging-structure
+         *  caches and the walk-reference meters: the walkers own those. */
+        std::variant<tlb::SetAssocTlb *, tlb::RangeTlb *, l3::CacheTlb *,
+                     l3::DramTlb *>
+            cache{};
+        energy::EnergyMeter meter{};
+        /** Read/write/leakage coefficients indexed by log2(active ways);
+         *  fixed structures use index 0 (the DRAM TLB: 0 = SRAM tag
+         *  cache, 1 = DRAM array). Empty for the walk-reference meters,
+         *  which have no leakage. */
+        std::vector<energy::EnergyCoefficients> coeffByLogWays{};
+        /** Lookups bucketed by log2(active ways), or null. */
+        stats::Histogram *wayLookups = nullptr;
+        /** Energy-report row name and breakdown category. */
+        std::string_view name;
+        PicoJoules energy::EnergyBreakdown::*category = nullptr;
+        /** Metric name: "l1_tlb4k" registers energy.l1_tlb4k and, for
+         *  a TLB, the l1.tlb4k counters (first '_' read as '.'). */
+        std::string_view metric;
+
+        /** The page TLB this meter charges, or null. */
+        tlb::SetAssocTlb *
+        page() const
+        {
+            auto *p = std::get_if<tlb::SetAssocTlb *>(&cache);
+            return p ? *p : nullptr;
+        }
+
+        /** Coefficient index of the current way mask: log2(active
+         *  ways) for a resizable TLB, else 0. */
+        unsigned
+        coeffIndex() const
+        {
+            const auto *tlb = page();
+            return tlb && coeffByLogWays.size() > 1 ? tlb->logActiveWays()
+                                                    : 0;
+        }
     };
 
-    void chargeRead(Metered &m, unsigned logWays = 0, bool hit = false);
-    void chargeWrite(Metered &m, unsigned logWays = 0,
+    Structure &at(obs::ProvStruct id)
+    {
+        return structs_[static_cast<unsigned>(id)];
+    }
+    const Structure &at(obs::ProvStruct id) const
+    {
+        return structs_[static_cast<unsigned>(id)];
+    }
+
+    /** What the L1 stage's page-TLB probes found. */
+    struct L1PageHit
+    {
+        bool hit = false;
+        HitSource source = HitSource::L1Page4K;
+        tlb::TlbEntry entry{};
+    };
+
+    // The four stages of access(); each returns true when it served the
+    // translation. @p idxShift indexes the 4 KB-slot L1 and the L2 TLB.
+    bool l1Stage(Addr vaddr, unsigned idxShift);
+    bool l2Stage(Addr vaddr, unsigned idxShift);
+    bool l3Stage(Addr vaddr);
+    void walkStage(Addr vaddr);
+
+    /**
+     * Probe @p tlb, the L1 page TLB at ProvStruct index @p level (0 = 4
+     * KB slot, 1 = 2 MB, 2 = 1 GB): look the entry up unless the
+     * L1-range TLB served the access, charge the read, record the way
+     * histogram and report Lite utility. A hit lands in @p hit.
+     */
+    void probeL1(unsigned level, tlb::SetAssocTlb &tlb, Addr vaddr,
+                 unsigned idxShift, bool rangeHit, L1PageHit &hit);
+
+    /**
+     * The one fill path: lift @p s's static mask, charge the write at
+     * coefficient @p coeff, install @p payload into @p cache and record
+     * the eviction. @return true when a live entry was evicted.
+     */
+    template <typename Cache, typename... Payload>
+    bool fill(Structure &s, unsigned coeff, unsigned psShift, Cache &cache,
+              const Payload &...payload);
+
+    void chargeRead(Structure &s, unsigned coeff = 0, bool hit = false);
+    void chargeWrite(Structure &s, unsigned coeff = 0,
                      unsigned psShift = 0);
     void chargeWalkMemory(unsigned refs, bool rangeWalk,
                           unsigned leafLevel = 0);
 
     /** Charge the host dimension of one nested walk: host-PWC probe
      *  and fills per host walk, plus every host-walk memory reference
-     *  (hostWalkMemMeter_ + HostWalkMem provenance + cycles). */
+     *  (HostWalkMem meter + provenance + cycles). */
     void chargeNestedWalk(const vm::NestedWalkResult &walk);
 
     /** Provenance: record that a fill displaced a live entry. */
-    void provEvict(const Metered &m, bool evicted);
+    void provEvict(const Structure &s, bool evicted);
 
     /** Provenance: close the translation opened at access() entry. */
     void provEnd(std::string_view source, unsigned psShift, bool l1Hit);
@@ -286,7 +400,7 @@ class Mmu
      */
     MilliWatts leakagePower(bool gated) const;
 
-    /** Fill a page entry into the right L1 structure (+ enable mask). */
+    /** Fill a page entry into the L1 structure its size routes to. */
     void fillL1Page(const tlb::TlbEntry &entry);
 
     /** Perfect page-size oracle for TLB_PP. */
@@ -299,18 +413,12 @@ class Mmu
     /** Audit the way masks of all page TLBs (periodic, Full level). */
     void auditWayMasks();
 
-    /** L2-miss-path probe of the L3 tier. Serves the access completely
-     *  (L1/L2 refills, checker, provenance close) on a hit.
-     *  @return true when the tier served the translation. */
-    bool probeL3(Addr vaddr);
-
-    /** Park a walked translation in the L3 tier per insertion policy. */
+    /** The walk stage's L3 fill: park a walked translation in the tier
+     *  per its insertion policy. */
     void fillL3(const tlb::TlbEntry &entry);
 
     /** Close the current telemetry interval and emit its record. */
     void emitIntervalRecord(InstrCount intervalInstructions);
-
-    static unsigned logWaysOf(const tlb::SetAssocTlb &t);
 
     MmuConfig cfg_;
     const vm::PageTable *pageTable_;
@@ -318,8 +426,8 @@ class Mmu
     tlb::Asid asid_ = 0;
     unsigned coreId_ = 0;
 
-    // Structures. l1Page4K_ doubles as the mixed L1 in TLB_PP mode, and
-    // l2Page_ as the mixed L2.
+    // Structures. l1Page4K_ doubles as the mixed L1 in TLB_PP mode and
+    // as the combined L1, and l2Page_ as the mixed L2.
     std::unique_ptr<tlb::SetAssocTlb> l1Page4K_;
     std::unique_ptr<tlb::SetAssocTlb> l1Page2M_;
     std::unique_ptr<tlb::FullyAssocTlb> l1Page1G_;
@@ -338,35 +446,19 @@ class Mmu
     std::unique_ptr<tlb::RangeTableWalker> rangeWalker_;
 
     // L3 translation tier (at most one non-null; both null = --l3=none,
-    // which keeps every meter below untouched and digests unchanged).
+    // which keeps every meter untouched and digests unchanged).
     std::unique_ptr<l3::CacheTlb> l3Cache_;
     std::unique_ptr<l3::DramTlb> l3Dram_;
+    /** stats_.l2Hits at the last L3 probe: an L2 hit in between ends
+     *  the miss streak the cache tier's PtePromote policy watches. */
+    std::uint64_t l2HitsAtL3Probe_ = 0;
     std::unique_ptr<lite::LiteController> lite_;
     check::ShadowChecker *checker_ = nullptr;
 
-    // Static masks (paper §3.1): a structure consumes energy only after
-    // the first fill of its kind. The 4 KB structures start enabled.
-    bool enabled2M_ = false;
-    bool enabled1G_ = false;
-    bool enabledL1Range_ = false;
-    bool enabledL2Range_ = false;
-
-    // Energy meters.
-    Metered m4K_, m2M_, m1G_, mL2_, mL1Range_, mL2Range_;
-    Metered mPde_, mPdpte_, mPml4_;
-    energy::EnergyMeter walkMemMeter_;
-    energy::EnergyMeter rangeWalkMemMeter_;
-    /** Host dimension: one lumped host-PWC meter (reads == host walks)
-     *  and the host-walk memory-reference meter. Both stay untouched
-     *  in flat and identity-host runs. */
-    Metered mHostPwc_;
-    energy::EnergyMeter hostWalkMemMeter_;
-    /** L3 tier meters. mL3_ (cache mode) has one coefficient slot: the
-     *  full-LLC access. mDram_ (dram mode) has two: index 0 the SRAM
-     *  tag cache, index 1 the DRAM array — chargeRead/chargeWrite's
-     *  logWays argument selects the stage, so provenance reconciles
-     *  through the standard path. */
-    Metered mL3_, mDram_;
+    /** Every metered structure, indexed by ProvStruct. */
+    std::array<Structure, obs::kProvMeteredStructs> structs_;
+    /** The L1 structure each page size fills (by ProvStruct). */
+    std::array<obs::ProvStruct, vm::kNumPageSizes> l1ForSize_{};
     PicoJoules walkRefEnergy_ = 0.0; ///< blended L1/L2 cache read energy
 
     MmuStats stats_;
@@ -412,10 +504,9 @@ class Mmu
     struct LeakCache
     {
         bool valid = false;
-        unsigned lw4K = 0;
-        unsigned lw2M = 0;
-        unsigned lw1G = 0;
-        std::uint8_t enabled = 0;
+        /** Per structure: 0 when masked, else 1 + its coefficient
+         *  index — every input leakagePower() reads. */
+        std::array<std::uint8_t, obs::kProvMeteredStructs> key{};
         MilliWatts gated = 0.0;
         MilliWatts full = 0.0;
     };

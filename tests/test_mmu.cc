@@ -181,6 +181,36 @@ TEST_F(MmuTest, RmmLiteL1RangeHitPath)
     EXPECT_NEAR(l1RangeWrite, 1.172, kTol); // one fill
 }
 
+TEST_F(MmuTest, L1RangeHitChargesButDoesNotUseTheCombinedL1)
+{
+    // DESIGN §5.1: when the L1-range TLB serves a lookup, every L1 page
+    // TLB is charged but not used — the combined L1 included. A lookup
+    // would refresh the entry's recency and feed Lite false utility.
+    pt.map(0x1000, 0x200000, PageSize::Size4K);
+    pt.map(0x2000, 0x201000, PageSize::Size4K);
+    rt.insert({0x1000, 0x3000, 0x200000});
+    auto cfg = MmuConfig::make(MmuOrg::RmmLite);
+    cfg.combinedFullyAssocL1 = true;
+    Mmu mmu(cfg, pt, &rt);
+
+    mmu.access(0x1234); // cold: walk fills the combined L1 (page 0x1000)
+    mmu.access(0x2010); // L2-range hit: fills L1-range + combined L1
+    const auto hits = mmu.l1Tlb4K().hits();
+    const auto misses = mmu.l1Tlb4K().misses();
+
+    mmu.access(0x1800); // L1-range hit on a page the combined L1 holds
+    EXPECT_EQ(mmu.stats().hits(HitSource::L1Range), 1u);
+    EXPECT_EQ(mmu.l1Tlb4K().hits(), hits);
+    EXPECT_EQ(mmu.l1Tlb4K().misses(), misses);
+
+    // Charged all the same: three accesses, three combined-L1 reads.
+    for (const auto &row : mmu.energyReport().structs) {
+        if (row.name == "L1-combined TLB") {
+            EXPECT_EQ(row.reads, 3u);
+        }
+    }
+}
+
 TEST_F(MmuTest, TlbPpUsesSingleMixedStructures)
 {
     pt.map(0x1000, 0x200000, PageSize::Size4K);
