@@ -385,6 +385,28 @@ TEST(CliEatsim, ReportsNestedPagingCosts)
         << result.output;
 }
 
+TEST(CliEatsim, LiteLineNamesTheL1AndEveryWayCount)
+{
+    // The way-lookup line follows the L1 structure that was built: the
+    // 64-entry combined L1 runs at 64 down to 1 ways, not 4/2/1.
+    const CmdResult combined =
+        run(kEatsim + " --org=TLB_Lite --workload=gcc --combined-l1 "
+                      "--instructions=200000 --fast-forward=10000");
+    EXPECT_EQ(combined.exitCode, 0) << combined.output;
+    EXPECT_NE(combined.output.find(
+                  "L1-combined lookups at 64/32/16/8/4/2/1 ways: "),
+              std::string::npos)
+        << combined.output;
+
+    const CmdResult split =
+        run(kEatsim + " --org=TLB_Lite --workload=gcc "
+                      "--instructions=200000 --fast-forward=10000");
+    EXPECT_EQ(split.exitCode, 0) << split.output;
+    EXPECT_NE(split.output.find("L1-4KB lookups at 4/2/1 ways: "),
+              std::string::npos)
+        << split.output;
+}
+
 TEST(CliEatbatch, RejectsBadVirtualizationAndCoherenceFlags)
 {
     const std::string base =

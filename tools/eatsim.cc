@@ -193,15 +193,22 @@ printReport(const sim::SimResult &r)
                   << " degradation re-activations, "
                   << r.lite.randomActivations
                   << " random re-activations\n";
-        std::cout << "L1-4KB lookups at 4/2/1 ways: "
-                  << stats::TextTable::percent(
-                         s.l1WayLookups4K.fraction(2))
-                  << " / "
-                  << stats::TextTable::percent(
-                         s.l1WayLookups4K.fraction(1))
-                  << " / "
-                  << stats::TextTable::percent(
-                         s.l1WayLookups4K.fraction(0))
+        // The 4 KB-slot L1 (split or combined), named by its report
+        // row less " TLB", at every way count from its associativity
+        // down to 1.
+        std::string l1 = "L1";
+        for (const auto &row : r.energy.structs) {
+            if (row.id == obs::ProvStruct::L1Tlb4K)
+                l1 = row.name.substr(0, row.name.rfind(" TLB"));
+        }
+        const auto &lookups = s.l1WayLookups4K;
+        std::string ways, shares;
+        for (std::size_t b = lookups.numBuckets(); b-- > 0;) {
+            ways += std::to_string(1u << b) + (b ? "/" : "");
+            shares += stats::TextTable::percent(lookups.fraction(b)) +
+                      (b ? " / " : "");
+        }
+        std::cout << l1 << " lookups at " << ways << " ways: " << shares
                   << "\n";
     }
 
