@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/provenance.hh"
 #include "sim/simulator.hh"
 #include "workloads/suite.hh"
 #include "scratch_dir.hh"
@@ -176,6 +177,8 @@ TEST_F(PaperShapes, AverageOrderingMatchesFigure10)
 
 TEST(PaperShapesProvenance, Fig10OrderingReproducedFromTracedRuns)
 {
+    if (!obs::kProvenanceCompiledIn)
+        GTEST_SKIP() << "this build has no provenance hooks";
     // The same headline ordering must fall out of the *provenance*
     // pipeline: trace a THP run and an RMM_Lite run, hand both streams
     // to eatreport --diff, and read the Figure-10 ratio it computes

@@ -13,7 +13,9 @@
  *  - the shared log2 bucket helper is what both sides assume, and
  *    equals the halving loop that defines it;
  *  - golden bytes: a fixed 2-core audit mix writes exactly the
- *    pinned provenance, telemetry and summary bytes.
+ *    pinned provenance, telemetry and summary bytes;
+ *  - a build without the hooks (EAT_PROVENANCE=OFF) refuses streams;
+ *    the tests that need one skip there.
  */
 
 #include <bit>
@@ -23,6 +25,7 @@
 #include <iterator>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <string>
 
 #include <sys/wait.h>
@@ -42,6 +45,10 @@ namespace eat
 {
 namespace
 {
+
+/** Why a build with the hooks compiled out (EAT_PROVENANCE=OFF) skips
+ *  every test that needs a provenance stream or its totals. */
+constexpr const char *kNoHooks = "this build has no provenance hooks";
 
 sim::SimConfig
 provConfig(const std::string &workload, core::MmuOrg org,
@@ -84,6 +91,8 @@ expectReconciles(const obs::ProvCoreTotals &totals,
 
 TEST(Provenance, EveryOrgReconcilesBitExactly)
 {
+    if (!obs::kProvenanceCompiledIn)
+        GTEST_SKIP() << kNoHooks;
     for (const auto org : core::allOrgs()) {
         const auto r =
             sim::simulate(provConfig("mcf", org));
@@ -108,6 +117,8 @@ TEST(Provenance, EveryOrgReconcilesBitExactly)
 
 TEST(Provenance, MulticoreWithShootdownsReconcilesPerCore)
 {
+    if (!obs::kProvenanceCompiledIn)
+        GTEST_SKIP() << kNoHooks;
     mc::McConfig cfg;
     cfg.base = provConfig("mcf", core::MmuOrg::RmmLite, 300'000);
     const auto mix = mc::parseMixSpec("mcf,astar");
@@ -140,6 +151,8 @@ TEST(Provenance, MulticoreWithShootdownsReconcilesPerCore)
 
 TEST(Provenance, SamplingThinsTheStreamButNotTheTotals)
 {
+    if (!obs::kProvenanceCompiledIn)
+        GTEST_SKIP() << kNoHooks;
     const std::string path =
         test::scratchDir() + "sampled.prov.jsonl";
 
@@ -168,6 +181,8 @@ TEST(Provenance, SamplingThinsTheStreamButNotTheTotals)
 
 TEST(Provenance, SummaryJsonRoundTripsExactly)
 {
+    if (!obs::kProvenanceCompiledIn)
+        GTEST_SKIP() << kNoHooks;
     const auto r = sim::simulate(
         provConfig("omnetpp", core::MmuOrg::TlbLite, 300'000));
     ASSERT_TRUE(r.provenanceEnabled);
@@ -191,6 +206,8 @@ TEST(Provenance, SummaryJsonRoundTripsExactly)
 
 TEST(Provenance, EatreportReconcilesTheStreamEndToEnd)
 {
+    if (!obs::kProvenanceCompiledIn)
+        GTEST_SKIP() << kNoHooks;
     const std::string prov =
         test::scratchDir() + "e2e.prov.jsonl";
     auto cfg = provConfig("mcf", core::MmuOrg::RmmLite, 300'000);
@@ -263,6 +280,8 @@ auditMixConfig()
  *  record, byte-identical. */
 TEST(Provenance, AuditMixStreamsMatchTheirGoldenBytes)
 {
+    if (!obs::kProvenanceCompiledIn)
+        GTEST_SKIP() << kNoHooks;
     const std::string dir = test::scratchDir();
     struct Stream
     {
@@ -311,6 +330,29 @@ halvingBucket(double v)
         ++bucket;
     }
     return bucket;
+}
+
+TEST(Provenance, ABuildWithoutHooksRefusesStreams)
+{
+    // EAT_PROVENANCE=OFF compiles every hook out: such a build must
+    // refuse a stream loudly rather than write an empty one, and must
+    // leave in-memory accumulation off. The default build takes both.
+    auto cfg = provConfig("astar", core::MmuOrg::Thp, 50'000);
+    EXPECT_EQ(sim::simulate(cfg).provenanceEnabled,
+              obs::kProvenanceCompiledIn);
+
+    cfg.provenancePath = test::scratchDir() + "refused.prov.jsonl";
+    if (obs::kProvenanceCompiledIn) {
+        EXPECT_TRUE(sim::simulate(cfg).provenanceEnabled);
+        return;
+    }
+    try {
+        sim::simulate(cfg);
+        ADD_FAILURE() << "a build without hooks wrote a provenance stream";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(kNoHooks), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Provenance, Log2BucketsMatchTheHistogramContract)
