@@ -258,7 +258,7 @@ Mmu::Mmu(const MmuConfig &config, const vm::PageTable &pageTable,
     walkRefEnergy_ = h * l1c.read + (1.0 - h) * cacti_.l2CacheReadEnergy();
 }
 
-void
+[[gnu::always_inline]] inline void
 Mmu::chargeRead(Structure &s, unsigned coeff, bool hit)
 {
     eat_assert(coeff < s.coeffByLogWays.size(), "bad coefficient index");
@@ -884,15 +884,14 @@ Mmu::registerMetrics(obs::MetricRegistry &registry,
         registry.addCounter(name("mmu.host_walk_mem_refs"),
                             &stats_.hostWalkMemRefs);
     }
-    const bool dram = at(ProvStruct::DramTlb).built;
-    if (at(ProvStruct::L3Tlb).built || dram) {
+    if (cfg_.l3Mode != l3::L3Mode::None) {
         registry.addCounter(name("mmu.l3_probes"), &stats_.l3Probes);
         registry.addCounter(name("mmu.l3_hits"), &stats_.l3Hits);
         registry.addCounter(name("mmu.l3_misses"), &stats_.l3Misses);
         registry.addCounter(name("mmu.l3_fills"), &stats_.l3Fills);
         registry.addCounter(name("mmu.l3_evictions"), &stats_.l3Evictions);
     }
-    if (dram) {
+    if (cfg_.l3Mode == l3::L3Mode::Dram) {
         registry.addCounter(name("mmu.dram_tag_hits"),
                             &stats_.dramTagHits);
         registry.addCounter(name("mmu.dram_accesses"),

@@ -12,7 +12,8 @@
  * row and metric name); everything that covers "all structures" —
  * context switches, shootdowns, leakage, reports, metrics — iterates
  * those descriptions. access() runs four stages, each a member
- * function that returns true once it has served the translation:
+ * function; the first three return true once they have served the
+ * translation, and the walk serves whatever reaches it:
  *
  *   1. L1 stage: every *enabled* L1 structure is searched in parallel
  *      and charged a read. One probe helper covers each L1 page TLB
@@ -351,8 +352,8 @@ class Mmu
         tlb::TlbEntry entry{};
     };
 
-    // The four stages of access(); each returns true when it served the
-    // translation. @p idxShift indexes the 4 KB-slot L1 and the L2 TLB.
+    // The four stages of access() (see the file comment). @p idxShift
+    // indexes the 4 KB-slot L1 and the L2 TLB.
     bool l1Stage(Addr vaddr, unsigned idxShift);
     bool l2Stage(Addr vaddr, unsigned idxShift);
     bool l3Stage(Addr vaddr);
