@@ -544,6 +544,8 @@ Mmu::l3Stage(Addr vaddr)
     bool hit = false;
     tlb::TlbEntry entry{};
     if (l3Cache_) {
+        // An L2 hit since the last probe ended the miss streak the
+        // PtePromote policy watches.
         if (stats_.l2Hits != l2HitsAtL3Probe_)
             l3Cache_->noteL2Hit();
         l2HitsAtL3Probe_ = stats_.l2Hits;
@@ -662,16 +664,14 @@ Mmu::fillL3(const tlb::TlbEntry &entry)
     if (entry.size != vm::PageSize::Size4K)
         return;
     bool evicted = false;
-    if (l3Cache_) {
-        if (!l3Cache_->admitOnWalk())
-            return;
+    if (l3Cache_ && l3Cache_->admitOnWalk()) {
         evicted = fill(at(ProvStruct::L3Tlb), 0, entry.shift, *l3Cache_,
                        entry);
     } else if (l3Dram_) {
         evicted = fill(at(ProvStruct::DramTlb), 1, entry.shift, *l3Dram_,
                        entry);
     } else {
-        return;
+        return; // no tier, or the cache tier's policy declined
     }
     ++stats_.l3Fills;
     if (evicted)
