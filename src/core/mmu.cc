@@ -31,8 +31,11 @@ resizableCoeffs(const energy::CactiLite &cacti, StructClass cls,
 }
 
 /** The L1 page TLBs lead ProvStruct: the 4 KB slot (4 KB, mixed or
- *  combined TLB), 2 MB, 1 GB — also the order Lite monitors them in. */
+ *  combined TLB), 2 MB, 1 GB — also the order Lite monitors them in and
+ *  the order of their HitSources, so one level indexes all three. */
 constexpr unsigned kL1PageTlbs = 3;
+static_assert(static_cast<unsigned>(ProvStruct::L1Tlb1G) == 2 &&
+              static_cast<unsigned>(HitSource::L1Page1G) == 2);
 
 /** Energy-report row order: ProvStruct order, except that the L1-range
  *  row precedes the L2 row (the rows are in every result digest). */
