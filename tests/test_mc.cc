@@ -9,8 +9,16 @@
  *  - ASID-tagged TLBs beat ctx-flush on L1 misses on the same mix;
  *  - shootdown counters balance exactly;
  *  - a fault injected into one core's TLB is caught and attributed to
- *    that core, with every other core's checker silent.
+ *    that core, with every other core's checker silent;
+ *  - a handful of long runs keep the outcome digests recorded in
+ *    tests/golden/mc_long_digests.txt.
  */
+
+#include <cstdint>
+#include <fstream>
+#include <iomanip>
+#include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -173,6 +181,93 @@ TEST(McSimulator, SharedAddressSpaceMakesContextSwitchesFree)
         EXPECT_EQ(c.stats.contextSwitches, 0u);
     for (const auto &t : r.tasks)
         EXPECT_EQ(t.asid, 0u);
+}
+
+/** FNV-1a 64 of @p bytes. */
+std::uint64_t
+fnv64(const std::string &bytes)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/**
+ * The long runs pinned in tests/golden/mc_long_digests.txt: 600k
+ * instructions per core under a 5k quantum, covering 2 and 4 cores,
+ * private and shared spaces, more tasks than cores, churn under both
+ * coherence modes, nested paging, the L3 cache tier, a fault plan on
+ * core 1 and in-memory provenance.
+ */
+std::map<std::string, McConfig>
+longRuns()
+{
+    auto longRun = [](core::MmuOrg org, unsigned cores,
+                      const std::string &mix) {
+        McConfig cfg = mcConfig(org, cores, mix);
+        cfg.base.simulateInstructions = 600'000;
+        cfg.base.fastForwardInstructions = 50'000;
+        cfg.quantumInstructions = 5'000;
+        return cfg;
+    };
+    std::map<std::string, McConfig> runs;
+
+    McConfig ipi = longRun(core::MmuOrg::Thp, 2, "mcf,canneal,astar");
+    ipi.remapInterval = 100'000;
+    runs.emplace("thp-2c-private-churn-ipi", ipi);
+
+    McConfig hw = longRun(core::MmuOrg::RmmLite, 2, "astar,omnetpp");
+    hw.sharedAddressSpace = true;
+    hw.remapInterval = 100'000;
+    hw.coherence = McConfig::CoherenceMode::Hw;
+    runs.emplace("rmmlite-2c-shared-churn-hw", hw);
+
+    McConfig vm =
+        longRun(core::MmuOrg::TlbLite, 4, "mcf,canneal,omnetpp,astar");
+    vm.base.mmu.vmEnabled = true;
+    vm.remapInterval = 150'000;
+    vm.coherence = McConfig::CoherenceMode::Hw;
+    runs.emplace("tlblite-4c-private-vm-paged-hw", vm);
+
+    McConfig l3 = longRun(core::MmuOrg::Base4K, 2, "mcf,gcc");
+    l3.base.mmu.enableL3(l3::L3Mode::Cache);
+    l3.base.faultSpec = "ppn-flip@l1-4k:0.001";
+    l3.faultCore = 1;
+    runs.emplace("4kb-2c-l3-cache-fault-core1", l3);
+
+    McConfig prov = longRun(core::MmuOrg::Rmm, 4, "canneal,gcc");
+    prov.sharedAddressSpace = true;
+    prov.remapInterval = 200'000;
+    prov.base.provenanceEnabled = true;
+    runs.emplace("rmm-4c-shared-provenance", prov);
+    return runs;
+}
+
+TEST(McSimulator, LongRunsMatchTheirGoldenDigests)
+{
+    // Each line of the golden file is a run label and the FNV-1a 64 of
+    // that run's mcResultDigest.
+    const std::string path =
+        std::string(EAT_CORPUS_DIR) + "/../golden/mc_long_digests.txt";
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "missing golden digest file " << path;
+
+    const auto runs = longRuns();
+    std::string label, hex;
+    unsigned checked = 0;
+    while (in >> label >> hex) {
+        const auto run = runs.find(label);
+        ASSERT_NE(run, runs.end()) << "unknown run in golden file: " << label;
+        const auto hash = fnv64(qa::mcResultDigest(mcSimulate(run->second)));
+        EXPECT_EQ(hash, std::stoull(hex, nullptr, 16))
+            << label << " changed outcome; new digest hash " << std::hex
+            << std::setw(16) << std::setfill('0') << hash << std::dec;
+        ++checked;
+    }
+    EXPECT_EQ(checked, runs.size());
 }
 
 } // namespace
