@@ -1,10 +1,17 @@
 #include "mc/mc_simulator.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <exception>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <new>
 #include <optional>
+#include <thread>
 
 #include "base/logging.hh"
 #include "core/mmu.hh"
@@ -22,6 +29,153 @@ namespace eat::mc
 namespace
 {
 
+/**
+ * A generated task's operation pipe: a producer thread runs the task's
+ * generator ahead of the simulating thread into a single-producer,
+ * single-consumer ring. The stream never reads MMU, page-table or
+ * checker state, so producing it early changes no outcome. Once the
+ * pipe exists only the producer touches the generator; ops the
+ * consumer has not taken wait in the ring for the task's next quantum.
+ * A generator exception reaches the consumer at the op where inline
+ * generation would have thrown. The destructor stops and joins the
+ * producer.
+ *
+ * The ring has pages of its own, outside the malloc heap: a 128 KiB
+ * chunk freed back into a long-lived process's heap left a hole that
+ * small long-lived allocations pinned, and a benchmark process running
+ * one cell after another grew its peak RSS by 3 MB.
+ */
+class OpPipe
+{
+  public:
+    explicit OpPipe(workloads::WorkloadGenerator &gen)
+        : producer_([this, &gen] { produce(gen); })
+    {
+    }
+
+    OpPipe(const OpPipe &) = delete;
+    OpPipe &operator=(const OpPipe &) = delete;
+
+    ~OpPipe()
+    {
+        // Hand every slot back, so a producer waiting for room wakes
+        // and sees the stop request.
+        stop_.store(true);
+        tail_.store(head_.load(std::memory_order_acquire),
+                    std::memory_order_release);
+        tail_.notify_one();
+        producer_.join();
+        munmap(ring_, kRingBytes);
+    }
+
+    /** The next operation; blocks while the producer is behind. */
+    workloads::MemOp
+    next()
+    {
+        if (read_ == readEnd_)
+            refill();
+        return ring_[read_++ & kMask];
+    }
+
+  private:
+    static constexpr std::uint32_t kCapacity = 8192; ///< power of two
+    static constexpr std::uint32_t kMask = kCapacity - 1;
+    static constexpr std::uint32_t kBatch = 256; ///< ops per hand-over
+    /** A producer waiting for room is woken once per half ring. */
+    static constexpr std::uint32_t kWakeEvery = kCapacity / 2;
+    /** How long a consumer facing an empty ring spins before it sleeps. */
+    static constexpr std::chrono::microseconds kSpin{50};
+    static constexpr std::size_t kRingBytes =
+        kCapacity * sizeof(workloads::MemOp);
+
+    static workloads::MemOp *
+    mapRing()
+    {
+        void *pages = mmap(nullptr, kRingBytes, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (pages == MAP_FAILED)
+            throw std::bad_alloc();
+        return static_cast<workloads::MemOp *>(pages);
+    }
+
+    /** Hand the consumed batch back and take the next one. */
+    void
+    refill()
+    {
+        tail_.store(read_, std::memory_order_release);
+        if (read_ % kWakeEvery == 0)
+            tail_.notify_one();
+        std::uint32_t head = head_.load(std::memory_order_acquire);
+        if (head == read_) {
+            // A producer that is behind is usually mid-batch, and a
+            // batch takes less time to generate than a sleeping thread
+            // takes to wake: spin before sleeping.
+            const auto deadline = std::chrono::steady_clock::now() + kSpin;
+            do {
+                head = head_.load(std::memory_order_acquire);
+            } while (head == read_ &&
+                     std::chrono::steady_clock::now() < deadline);
+        }
+        while (head == read_) {
+            head_.wait(head, std::memory_order_acquire);
+            head = head_.load(std::memory_order_acquire);
+        }
+        std::uint32_t ready = head - read_;
+        if (failed_.load(std::memory_order_acquire)) {
+            ready = std::min(ready, failAt_ - read_);
+            if (ready == 0)
+                std::rethrow_exception(error_);
+        }
+        readEnd_ = read_ + std::min(ready, kBatch);
+    }
+
+    void
+    produce(workloads::WorkloadGenerator &gen)
+    {
+        std::uint32_t head = 0;
+        try {
+            while (!stop_.load(std::memory_order_relaxed)) {
+                const std::uint32_t tail =
+                    tail_.load(std::memory_order_acquire);
+                if (head - tail > kCapacity - kBatch) {
+                    tail_.wait(tail, std::memory_order_acquire);
+                    continue;
+                }
+                for (std::uint32_t i = 0; i < kBatch; ++i, ++head)
+                    ring_[head & kMask] = gen.next();
+                head_.store(head, std::memory_order_release);
+                head_.notify_one();
+            }
+        } catch (...) {
+            failAt_ = head;
+            error_ = std::current_exception();
+            failed_.store(true, std::memory_order_release);
+            // One past the last good op, so the published count moves
+            // even when the failure opened a batch.
+            head_.store(head + 1, std::memory_order_release);
+            head_.notify_one();
+        }
+    }
+
+    workloads::MemOp *const ring_ = mapRing();
+
+    // Op counts modulo 2^32; an op's slot is its count's low bits.
+    // Producer side: published ops, and the failure hand-over.
+    alignas(64) std::atomic<std::uint32_t> head_{0};
+    std::atomic<bool> failed_{false};
+    std::uint32_t failAt_ = 0; ///< ops generated before the exception
+    std::exception_ptr error_;
+
+    // Consumer side: consumed ops, the stop request, and the batch
+    // being read.
+    alignas(64) std::atomic<std::uint32_t> tail_{0};
+    std::atomic<bool> stop_{false};
+    std::uint32_t read_ = 0;
+    std::uint32_t readEnd_ = 0;
+
+    std::thread producer_; ///< last: starts once the rest is built
+};
+
 /** One scheduled task: a workload stream bound to an address space. */
 struct Task
 {
@@ -29,7 +183,13 @@ struct Task
     tlb::Asid asid = 0;
     vm::MemoryManager *mm = nullptr; ///< not owned (shared mode aliases)
     const vm::RangeTable *rangeTable = nullptr;
+    /** The generator's regions, for OS churn: a piped generator
+     *  belongs to its producer thread. */
+    std::vector<vm::Region> regions;
     std::unique_ptr<workloads::WorkloadGenerator> gen;
+    /** Runs @c gen ahead when the window is long enough; declared
+     *  after it, so it is joined before the generator goes. */
+    std::unique_ptr<OpPipe> pipe;
     InstrCount retired = 0;    ///< measured instructions, all cores
     InstrCount sinceChurn = 0; ///< instructions since the last OS pass
     bool demoteNext = true;    ///< THP churn alternates demote/promote
@@ -53,7 +213,7 @@ taskSeed(const McConfig &config, unsigned t)
 void
 churnTask(Task &task)
 {
-    const auto &regions = task.gen->regions();
+    const auto &regions = task.regions;
     if (regions.empty())
         return;
     const vm::Region *target = &regions[0];
@@ -130,6 +290,19 @@ struct GeneratedOps
     next(workloads::MemOp &op)
     {
         op = gen.next();
+        return true;
+    }
+};
+
+/** A piped task's operations, produced ahead on the pipe's thread. */
+struct PipedOps
+{
+    OpPipe &pipe;
+
+    bool
+    next(workloads::MemOp &op)
+    {
+        op = pipe.next();
         return true;
     }
 };
@@ -237,6 +410,7 @@ runEngine(const McConfig &config, const std::string *replayPath)
                                             : spaces[t].get();
         task.gen = std::make_unique<workloads::WorkloadGenerator>(
             task.spec, *task.mm, taskSeed(config, t));
+        task.regions = task.gen->regions();
         task.rangeTable = wantRange ? &task.mm->rangeTable() : nullptr;
     }
 
@@ -428,6 +602,10 @@ runEngine(const McConfig &config, const std::string *replayPath)
     if (replayPath)
         replay.emplace(*replayPath);
     const InstrCount budget = config.base.simulateInstructions;
+    if (!replay && budget >= kPipeMinWindow) {
+        for (auto &task : tasks)
+            task.pipe = std::make_unique<OpPipe>(*task.gen);
+    }
     std::vector<InstrCount> coreRetired(cores, 0);
     std::vector<CoreTimeline> timelines(
         cores, CoreTimeline(config.base.timelineInterval));
@@ -457,13 +635,18 @@ runEngine(const McConfig &config, const std::string *replayPath)
             check::FaultInjector *coreInjector =
                 c == config.faultCore ? injector.get() : nullptr;
             bool dry = false;
-            const InstrCount retired =
-                replay ? runQuantum(ReplayedOps{*replay}, mmu,
-                                    coreInjector, timelines[c], start,
-                                    end, dry)
-                       : runQuantum(GeneratedOps{*task.gen}, mmu,
-                                    coreInjector, timelines[c], start,
-                                    end, dry);
+            InstrCount retired;
+            if (replay) {
+                retired = runQuantum(ReplayedOps{*replay}, mmu, coreInjector,
+                                     timelines[c], start, end, dry);
+            } else if (task.pipe) {
+                retired = runQuantum(PipedOps{*task.pipe}, mmu, coreInjector,
+                                     timelines[c], start, end, dry);
+            } else {
+                retired = runQuantum(GeneratedOps{*task.gen}, mmu,
+                                     coreInjector, timelines[c], start, end,
+                                     dry);
+            }
             task.retired += retired - start;
             task.sinceChurn += retired - start;
             // A replayed trace that ran dry ends its core's window.
@@ -473,6 +656,8 @@ runEngine(const McConfig &config, const std::string *replayPath)
             break;
         ++round;
     }
+    for (auto &task : tasks)
+        task.pipe.reset();
     for (unsigned c = 0; c < cores; ++c)
         timelines[c].flush(mmus[c]->stats());
 

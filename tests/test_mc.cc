@@ -11,14 +11,23 @@
  *  - a fault injected into one core's TLB is caught and attributed to
  *    that core, with every other core's checker silent;
  *  - a handful of long runs keep the outcome digests recorded in
- *    tests/golden/mc_long_digests.txt.
+ *    tests/golden/mc_long_digests.txt;
+ *  - a generator or Mmu exception reaches the caller at the same op
+ *    whether the engine generates inline or pipes the stream, and no
+ *    producer thread outlives the run.
  */
 
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <iterator>
+#include <limits>
 #include <map>
+#include <memory>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -27,6 +36,7 @@
 #include "mc/mix.hh"
 #include "qa/oracles.hh"
 #include "sim/simulator.hh"
+#include "workloads/pattern.hh"
 
 namespace eat::mc
 {
@@ -268,6 +278,148 @@ TEST(McSimulator, LongRunsMatchTheirGoldenDigests)
         ++checked;
     }
     EXPECT_EQ(checked, runs.size());
+}
+
+/** An op index no run reaches. */
+constexpr std::uint64_t kNoOp = std::numeric_limits<std::uint64_t>::max();
+
+/** The address FaultyPattern strays to: nothing maps it. */
+constexpr Addr kStrayAddr = Addr{0x7f} << 40;
+
+/**
+ * Walks its workload's first region a page per op. Op @c panicAt
+ * (counting from 1) panics; from op @c strayAt on it returns
+ * kStrayAddr, which the page walker rejects.
+ */
+class FaultyPattern final : public workloads::AccessPattern
+{
+  public:
+    FaultyPattern(vm::Region region, std::uint64_t panicAt,
+                  std::uint64_t strayAt)
+        : region_(region), panicAt_(panicAt), strayAt_(strayAt)
+    {
+    }
+
+    Addr
+    next(Rng &, InstrCount) override
+    {
+        ++ops_;
+        if (ops_ == panicAt_)
+            eat_panic("pattern gave up at op ", ops_);
+        if (ops_ >= strayAt_)
+            return kStrayAddr;
+        return region_.vbase + ops_ % (region_.bytes / 4_KiB) * 4_KiB;
+    }
+
+  private:
+    vm::Region region_;
+    std::uint64_t panicAt_;
+    std::uint64_t strayAt_;
+    std::uint64_t ops_ = 0;
+};
+
+/** A workload of one op per instruction over FaultyPattern. */
+workloads::WorkloadSpec
+faultySpec(std::uint64_t panicAt, std::uint64_t strayAt = kNoOp)
+{
+    workloads::WorkloadSpec spec;
+    spec.name = "faulty";
+    spec.memOpsPerKiloInstr = 1000;
+    spec.allocs = {{64_MiB, 1}};
+    spec.buildPattern = [=](const std::vector<vm::Region> &regions) {
+        return std::make_unique<FaultyPattern>(regions.front(), panicAt,
+                                               strayAt);
+    };
+    return spec;
+}
+
+/** Fast-forward of the faulty runs: ops 1..kFaultySkip. */
+constexpr InstrCount kFaultySkip = 10'000;
+/** Per-core windows below and above the engine's pipe threshold. */
+constexpr InstrCount kInlineWindow = kPipeMinWindow - 100'000;
+constexpr InstrCount kPipedWindow = kPipeMinWindow + 100'000;
+
+McConfig
+faultyRun(InstrCount window, std::vector<workloads::WorkloadSpec> mix)
+{
+    McConfig cfg;
+    cfg.base = baseConfig(core::MmuOrg::Thp);
+    cfg.base.simulateInstructions = window;
+    cfg.base.fastForwardInstructions = kFaultySkip;
+    cfg.base.workload = mix.front();
+    cfg.cores = static_cast<unsigned>(mix.size());
+    cfg.mix = std::move(mix);
+    return cfg;
+}
+
+/** What mcSimulate(@p cfg) throws, or "" when it returns. */
+std::string
+thrownBy(const McConfig &cfg)
+{
+    try {
+        (void)mcSimulate(cfg);
+    } catch (const std::exception &e) {
+        return e.what();
+    }
+    return "";
+}
+
+std::ptrdiff_t
+threadCount()
+{
+    return std::distance(
+        std::filesystem::directory_iterator("/proc/self/task"),
+        std::filesystem::directory_iterator());
+}
+
+TEST(McSimulator, GeneratorPanicSurfacesAtItsOpInlineAndPiped)
+{
+    // Both windows reach this op.
+    const std::uint64_t panicAt = kFaultySkip + kInlineWindow / 2;
+    const std::string message =
+        "panic: pattern gave up at op " + std::to_string(panicAt);
+    EXPECT_EQ(thrownBy(faultyRun(kInlineWindow, {faultySpec(panicAt)})),
+              message);
+    EXPECT_EQ(thrownBy(faultyRun(kPipedWindow, {faultySpec(panicAt)})),
+              message);
+
+    // The window's last op panics on the piped path too...
+    const std::uint64_t lastOp = kFaultySkip + kPipedWindow;
+    EXPECT_EQ(thrownBy(faultyRun(kPipedWindow, {faultySpec(lastOp)})),
+              "panic: pattern gave up at op " + std::to_string(lastOp));
+    // ...but a panic the producer runs into past the window's end is
+    // never asked for: the run keeps the outcome of a clean pattern.
+    const auto clean =
+        mcSimulate(faultyRun(kPipedWindow, {faultySpec(kNoOp)}));
+    const auto past =
+        mcSimulate(faultyRun(kPipedWindow, {faultySpec(lastOp + 1)}));
+    EXPECT_EQ(qa::mcResultDigest(past), qa::mcResultDigest(clean));
+}
+
+TEST(McSimulator, MmuPanicLeavesNoProducerRunning)
+{
+    // Task 0 strays out of its space mid-window and the page walker
+    // panics inside the quantum loop, with task 1's producer running
+    // too on the piped path. The exception reaches the caller and
+    // every producer is joined on the way out.
+    const std::string message =
+        "panic: page walk of unmapped address " + std::to_string(kStrayAddr);
+    for (const InstrCount window : {kInlineWindow, kPipedWindow}) {
+        SCOPED_TRACE(window);
+        const auto before = threadCount();
+        EXPECT_EQ(thrownBy(faultyRun(
+                      window, {faultySpec(kNoOp, kFaultySkip + 200'000),
+                               faultySpec(kNoOp)})),
+                  message);
+        // A joined thread can linger in /proc for a moment while the
+        // kernel finishes its exit.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (threadCount() > before &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        EXPECT_EQ(threadCount(), before);
+    }
 }
 
 } // namespace

@@ -9,7 +9,11 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "mc/mc_simulator.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/telemetry.hh"
@@ -271,23 +275,38 @@ TEST(Simulator, PaperInvariantsOnShortRuns)
 
 TEST(Simulator, TraceReplayMatchesDirectSimulation)
 {
+    // The window is long enough for simulate() to produce the stream
+    // on a thread of its own; replay reads the recorded stream inline,
+    // so it is the reference for the piped path.
+    const InstrCount window = mc::kPipeMinWindow + 100'000;
+    std::vector<std::pair<std::string, SimConfig>> runs;
+    for (const auto org : core::allOrgs()) {
+        runs.emplace_back(std::string(core::orgName(org)),
+                          quickConfig("omnetpp", org, window));
+    }
+    auto combined = quickConfig("omnetpp", core::MmuOrg::RmmLite, window);
+    combined.mmu.combinedFullyAssocL1 = true;
+    runs.emplace_back("RMM_Lite --combined-l1", combined);
+
     const std::string path =
         test::scratchDir() + "eat_sim_trace_test.bin";
-    auto cfg = quickConfig("omnetpp", core::MmuOrg::Thp, 400'000);
-    cfg.timelineInterval = 100'000;
+    for (auto &[label, cfg] : runs) {
+        SCOPED_TRACE(label);
+        cfg.timelineInterval = 100'000;
 
-    const auto direct = simulate(cfg);
-    const auto recorded = recordTrace(cfg, path);
-    EXPECT_GT(recorded, 0u);
-    const auto replayed = simulateFromTrace(cfg, path);
+        const auto direct = simulate(cfg);
+        const auto recorded = recordTrace(cfg, path);
+        EXPECT_GT(recorded, 0u);
+        const auto replayed = simulateFromTrace(cfg, path);
 
-    // Identical address space + identical operation stream => identical
-    // hardware behaviour, MPKI timeline included.
-    EXPECT_EQ(replayed.workloadName, "omnetpp (trace)");
-    EXPECT_EQ(qa::resultDigest(replayed), qa::resultDigest(direct));
-    ASSERT_EQ(direct.mpkiTimeline.numSamples(), 4u);
-    EXPECT_EQ(replayed.mpkiTimeline.samples(),
-              direct.mpkiTimeline.samples());
+        // Identical address space + identical operation stream =>
+        // identical hardware behaviour, MPKI timeline included.
+        EXPECT_EQ(replayed.workloadName, "omnetpp (trace)");
+        EXPECT_EQ(qa::resultDigest(replayed), qa::resultDigest(direct));
+        ASSERT_EQ(direct.mpkiTimeline.numSamples(), 6u);
+        EXPECT_EQ(replayed.mpkiTimeline.samples(),
+                  direct.mpkiTimeline.samples());
+    }
 }
 
 TEST(Simulator, StaticEnergyFieldsPopulated)
