@@ -45,15 +45,6 @@ CacheTlb::invalidateAll()
 }
 
 unsigned
-CacheTlb::invalidateAsid(tlb::Asid asid)
-{
-    const unsigned n = storage_.invalidateAsid(asid);
-    validEntries_ = n < validEntries_ ? validEntries_ - n : 0;
-    updateOccupancy();
-    return n;
-}
-
-unsigned
 CacheTlb::invalidateRange(Addr vbase, Addr vlimit, tlb::Asid asid)
 {
     const unsigned n = storage_.invalidateRange(vbase, vlimit, asid);

@@ -65,7 +65,6 @@ class CacheTlb
     void noteL2Hit() { l2MissStreak_ = 0; }
 
     void invalidateAll();
-    unsigned invalidateAsid(tlb::Asid asid);
     unsigned invalidateRange(Addr vbase, Addr vlimit, tlb::Asid asid);
 
     /** Per-access LLC energy + reserved-share leakage. */

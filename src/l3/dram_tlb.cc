@@ -75,15 +75,6 @@ DramTlb::invalidateAll()
 }
 
 unsigned
-DramTlb::invalidateAsid(tlb::Asid asid)
-{
-    const unsigned n = storage_.invalidateAsid(asid);
-    if (n > 0)
-        ++generation_;
-    return n;
-}
-
-unsigned
 DramTlb::invalidateRange(Addr vbase, Addr vlimit, tlb::Asid asid)
 {
     const unsigned n = storage_.invalidateRange(vbase, vlimit, asid);

@@ -58,7 +58,6 @@ class DramTlb
     bool fill(const tlb::TlbEntry &entry);
 
     void invalidateAll();
-    unsigned invalidateAsid(tlb::Asid asid);
     unsigned invalidateRange(Addr vbase, Addr vlimit, tlb::Asid asid);
 
     /** SRAM tag-cache probe energy (and the tier's only leakage). */

@@ -75,19 +75,6 @@ RangeTlb::invalidateAll()
 }
 
 unsigned
-RangeTlb::invalidateAsid(Asid asid)
-{
-    unsigned n = 0;
-    for (auto &s : slots_) {
-        if (s.valid && s.asid == asid) {
-            s.valid = 0;
-            ++n;
-        }
-    }
-    return n;
-}
-
-unsigned
 RangeTlb::invalidateRange(Addr vbase, Addr vlimit, Asid asid)
 {
     unsigned n = 0;

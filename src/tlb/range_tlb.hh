@@ -52,10 +52,6 @@ class RangeTlb
 
     void invalidateAll();
 
-    /** Invalidate every entry tagged @p asid.
-     *  @return number invalidated. */
-    unsigned invalidateAsid(Asid asid);
-
     /**
      * Shootdown receiver: invalidate entries tagged @p asid whose range
      * overlaps [@p vbase, @p vlimit).

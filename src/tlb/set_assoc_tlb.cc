@@ -150,19 +150,6 @@ SetAssocTlb::invalidateAll()
 }
 
 unsigned
-SetAssocTlb::invalidateAsid(Asid asid)
-{
-    unsigned n = 0;
-    for (unsigned i = 0; i < valid_.size(); ++i) {
-        if (valid_[i] && asids_[i] == asid) {
-            valid_[i] = 0;
-            ++n;
-        }
-    }
-    return n;
-}
-
-unsigned
 SetAssocTlb::invalidateRange(Addr vbase, Addr vlimit, Asid asid)
 {
     unsigned n = 0;

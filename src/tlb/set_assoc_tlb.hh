@@ -91,13 +91,6 @@ class SetAssocTlb
     void invalidateAll();
 
     /**
-     * Invalidate every entry tagged @p asid (all ways, active or not).
-     * Models the ASID reuse / address-space teardown case.
-     * @return number of entries invalidated.
-     */
-    unsigned invalidateAsid(Asid asid);
-
-    /**
      * Shootdown receiver: invalidate entries tagged @p asid whose
      * covered region overlaps [@p vbase, @p vlimit). Disabled ways are
      * scanned too — a remap must never leave a stale translation that a
