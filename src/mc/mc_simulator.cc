@@ -109,9 +109,12 @@ class OpPipe
         if (head == read_) {
             // A producer that is behind is usually mid-batch, and a
             // batch takes less time to generate than a sleeping thread
-            // takes to wake: spin before sleeping.
+            // takes to wake: spin before sleeping. Yielding in the spin
+            // hands the core over when a sweep has more threads than
+            // cores.
             const auto deadline = std::chrono::steady_clock::now() + kSpin;
             do {
+                std::this_thread::yield();
                 head = head_.load(std::memory_order_acquire);
             } while (head == read_ &&
                      std::chrono::steady_clock::now() < deadline);
