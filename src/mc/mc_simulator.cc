@@ -40,10 +40,10 @@ namespace
  * generation would have thrown. The destructor stops and joins the
  * producer.
  *
- * The ring has pages of its own, outside the malloc heap: a 128 KiB
- * chunk freed back into a long-lived process's heap left a hole that
- * small long-lived allocations pinned, and a benchmark process running
- * one cell after another grew its peak RSS by 3 MB.
+ * The ring has pages of its own, outside the malloc heap: its chunk,
+ * freed back into a long-lived process's heap, left a hole that small
+ * long-lived allocations pinned, and a benchmark process running one
+ * cell after another grew its peak RSS by 3 MB.
  */
 class OpPipe
 {
@@ -78,7 +78,7 @@ class OpPipe
     }
 
   private:
-    static constexpr std::uint32_t kCapacity = 8192; ///< power of two
+    static constexpr std::uint32_t kCapacity = 16384; ///< power of two
     static constexpr std::uint32_t kMask = kCapacity - 1;
     static constexpr std::uint32_t kBatch = 256; ///< ops per hand-over
     /** A producer waiting for room is woken once per half ring. */
