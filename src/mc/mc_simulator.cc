@@ -638,18 +638,16 @@ runEngine(const McConfig &config, const std::string *replayPath)
             check::FaultInjector *coreInjector =
                 c == config.faultCore ? injector.get() : nullptr;
             bool dry = false;
-            InstrCount retired;
-            if (replay) {
-                retired = runQuantum(ReplayedOps{*replay}, mmu, coreInjector,
-                                     timelines[c], start, end, dry);
-            } else if (task.pipe) {
-                retired = runQuantum(PipedOps{*task.pipe}, mmu, coreInjector,
-                                     timelines[c], start, end, dry);
-            } else {
-                retired = runQuantum(GeneratedOps{*task.gen}, mmu,
-                                     coreInjector, timelines[c], start, end,
-                                     dry);
-            }
+            const InstrCount retired =
+                replay      ? runQuantum(ReplayedOps{*replay}, mmu,
+                                         coreInjector, timelines[c], start,
+                                         end, dry)
+                : task.pipe ? runQuantum(PipedOps{*task.pipe}, mmu,
+                                         coreInjector, timelines[c], start,
+                                         end, dry)
+                            : runQuantum(GeneratedOps{*task.gen}, mmu,
+                                         coreInjector, timelines[c], start,
+                                         end, dry);
             task.retired += retired - start;
             task.sinceChurn += retired - start;
             // A replayed trace that ran dry ends its core's window.
@@ -659,6 +657,7 @@ runEngine(const McConfig &config, const std::string *replayPath)
             break;
         ++round;
     }
+    // The window is done: join the producers before the report.
     for (auto &task : tasks)
         task.pipe.reset();
     for (unsigned c = 0; c < cores; ++c)

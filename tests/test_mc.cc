@@ -207,7 +207,8 @@ fnv64(const std::string &bytes)
 
 /**
  * The long runs pinned in tests/golden/mc_long_digests.txt: 600k
- * instructions per core under a 5k quantum, covering 2 and 4 cores,
+ * instructions per core, above kPipeMinWindow, so every task's stream
+ * comes through its op pipe. They cover a 5k quantum, 2 and 4 cores,
  * private and shared spaces, more tasks than cores, churn under both
  * coherence modes, nested paging, the L3 cache tier, a fault plan on
  * core 1 and in-memory provenance.
@@ -418,7 +419,7 @@ TEST(McSimulator, MmuPanicLeavesNoProducerRunning)
         while (threadCount() > before &&
                std::chrono::steady_clock::now() < deadline)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        EXPECT_EQ(threadCount(), before);
+        EXPECT_LE(threadCount(), before);
     }
 }
 
