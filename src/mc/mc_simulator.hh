@@ -175,9 +175,10 @@ struct McResult
 /**
  * The per-core window (base.simulateInstructions) from which a
  * generated run produces each task's operations on a thread of its
- * own, ahead of the simulating thread (DESIGN.md §15). A thread start
- * and join costs about 0.25 ms, so shorter windows generate inline.
- * Either way the operation stream, and so every outcome, is the same.
+ * own, ahead of the simulating thread (DESIGN.md §15). Starting a pipe
+ * costs a few tenths of a millisecond, so shorter windows generate
+ * inline. Either way the operation stream, and so every outcome, is
+ * the same.
  */
 inline constexpr InstrCount kPipeMinWindow = 500'000;
 
