@@ -9,6 +9,8 @@
  *  - sampling thins the written stream but never the summary totals;
  *  - the JSONL stream round-trips: eatreport --reconcile re-sums the
  *    file and agrees, and rejects sampled streams;
+ *  - eatreport --chrome-out puts every exportable event of a 2-core
+ *    stream on its core's track, in time order;
  *  - the summary JSON record parses back to the exact doubles;
  *  - the shared log2 bucket helper is what both sides assume, and
  *    equals the halving loop that defines it;
@@ -24,6 +26,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -204,34 +207,6 @@ TEST(Provenance, SummaryJsonRoundTripsExactly)
               r.provenance.cores[0].canonicalDynamicPj());
 }
 
-TEST(Provenance, EatreportReconcilesTheStreamEndToEnd)
-{
-    if (!obs::kProvenanceCompiledIn)
-        GTEST_SKIP() << kNoHooks;
-    const std::string prov =
-        test::scratchDir() + "e2e.prov.jsonl";
-    auto cfg = provConfig("mcf", core::MmuOrg::RmmLite, 300'000);
-    cfg.provenancePath = prov;
-    const auto r = sim::simulate(cfg);
-    ASSERT_TRUE(r.provenanceEnabled);
-
-    const std::string cmd =
-        std::string(EAT_EATREPORT_PATH) + " --prov=" + prov +
-        " --reconcile 2>&1";
-    FILE *pipe = popen(cmd.c_str(), "r");
-    ASSERT_NE(pipe, nullptr);
-    std::string output;
-    char buffer[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0)
-        output.append(buffer, n);
-    const int status = pclose(pipe);
-
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0) << output;
-    EXPECT_NE(output.find("bit for bit"), std::string::npos) << output;
-}
-
 /** FNV-1a 64 of @p bytes. */
 std::uint64_t
 fnv64(const std::string &bytes)
@@ -273,6 +248,144 @@ auditMixConfig()
     cfg.remapInterval = 20'000;
     cfg.coherence = mc::McConfig::CoherenceMode::Hw;
     return cfg;
+}
+
+/** What one eatreport run exited with and printed. */
+struct EatreportRun
+{
+    int status = -1;
+    std::string output;
+};
+
+/** Run eatreport with @p args, stdout and stderr together. */
+EatreportRun
+runEatreport(const std::string &args)
+{
+    EatreportRun run;
+    const std::string cmd =
+        std::string(EAT_EATREPORT_PATH) + " " + args + " 2>&1";
+    FILE *pipe = popen(cmd.c_str(), "r");
+    if (!pipe)
+        return run;
+    char buffer[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0)
+        run.output.append(buffer, n);
+    run.status = pclose(pipe);
+    return run;
+}
+
+TEST(Provenance, EatreportReconcilesTheStreamEndToEnd)
+{
+    if (!obs::kProvenanceCompiledIn)
+        GTEST_SKIP() << kNoHooks;
+    const std::string prov =
+        test::scratchDir() + "e2e.prov.jsonl";
+    auto cfg = provConfig("mcf", core::MmuOrg::RmmLite, 300'000);
+    cfg.provenancePath = prov;
+    const auto r = sim::simulate(cfg);
+    ASSERT_TRUE(r.provenanceEnabled);
+
+    const EatreportRun run = runEatreport("--prov=" + prov + " --reconcile");
+    ASSERT_TRUE(WIFEXITED(run.status)) << run.output;
+    EXPECT_EQ(WEXITSTATUS(run.status), 0) << run.output;
+    EXPECT_NE(run.output.find("bit for bit"), std::string::npos)
+        << run.output;
+}
+
+/** The Chrome export holds every translation, resize, interval and
+ *  shootdown/coherence-probe line of the stream exactly once, on its
+ *  core's process (pid core+1) and its family's named track, in
+ *  nondecreasing time, and eatreport prints the count the file holds. */
+TEST(Provenance, EatreportChromeExportPutsEveryEventOnItsTrack)
+{
+    if (!obs::kProvenanceCompiledIn)
+        GTEST_SKIP() << kNoHooks;
+    const std::string dir = test::scratchDir();
+    auto cfg = auditMixConfig();
+    cfg.base.provenancePath = dir + "audit.prov.jsonl";
+    // Interval markers are written for the telemetry rows they match.
+    cfg.base.telemetryPath = dir + "audit.telemetry.jsonl";
+    ASSERT_TRUE(mc::mcSimulate(cfg).provenanceEnabled);
+
+    using CoreTrack = std::pair<unsigned, std::string>;
+    const std::map<std::string, std::string> trackOfKind = {
+        {"translation", "translations"}, {"resize", "lite resizes"},
+        {"interval", "intervals"},       {"shootdown", "shootdowns"},
+        {"coh_probe", "shootdowns"}};
+    std::map<CoreTrack, std::uint64_t> streamed;
+    std::ifstream in(cfg.base.provenancePath);
+    for (std::string line; std::getline(in, line);) {
+        const auto o = obs::parseJson(line);
+        ASSERT_TRUE(o.ok()) << line;
+        const obs::JsonValue *kind = o.value().find("k");
+        if (!kind)
+            continue; // the summary record
+        const auto track = trackOfKind.find(kind->string);
+        if (track != trackOfKind.end()) {
+            const auto core = static_cast<unsigned>(
+                o.value().find("core")->number);
+            ++streamed[{core, track->second}];
+        }
+    }
+    for (const auto &[kind, track] : trackOfKind) {
+        std::uint64_t lines = 0;
+        for (const auto &[at, n] : streamed)
+            lines += at.second == track ? n : 0;
+        EXPECT_GT(lines, 0u) << track << ": the audit mix must fill it";
+    }
+
+    const std::string trace = dir + "audit.trace.json";
+    const EatreportRun run = runEatreport(
+        "--prov=" + cfg.base.provenancePath + " --chrome-out=" + trace);
+    ASSERT_TRUE(WIFEXITED(run.status)) << run.output;
+    ASSERT_EQ(WEXITSTATUS(run.status), 0) << run.output;
+
+    const auto parsed = obs::parseJson(readFile(trace));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    const obs::JsonValue *events = parsed.value().find("traceEvents");
+    ASSERT_TRUE(events && events->isArray());
+    static const obs::JsonValue kAbsent;
+    auto field = [](const obs::JsonValue &e,
+                    std::string_view key) -> const obs::JsonValue & {
+        const obs::JsonValue *v = e.find(key);
+        return v ? *v : kAbsent;
+    };
+    auto pidTid = [&field](const obs::JsonValue &e) {
+        return std::pair{static_cast<unsigned>(field(e, "pid").number),
+                         static_cast<unsigned>(field(e, "tid").number)};
+    };
+
+    // Tracks are named by their thread_name metadata rows.
+    std::map<std::pair<unsigned, unsigned>, std::string> trackName;
+    for (const auto &e : events->array) {
+        if (field(e, "name").string == "thread_name")
+            trackName[pidTid(e)] = field(field(e, "args"), "name").string;
+    }
+    std::map<CoreTrack, std::uint64_t> exported;
+    std::uint64_t payload = 0;
+    double lastTs = 0.0;
+    for (const auto &e : events->array) {
+        if (field(e, "ph").string == "M")
+            continue;
+        ++payload;
+        const double ts = field(e, "ts").number;
+        EXPECT_GE(ts, lastTs) << "event " << payload;
+        lastTs = ts;
+        const auto [pid, tid] = pidTid(e);
+        const auto name = trackName.find({pid, tid});
+        ASSERT_NE(name, trackName.end())
+            << "event " << payload << " is on an unnamed track";
+        ASSERT_GE(pid, 1u) << "event " << payload;
+        ++exported[{pid - 1, name->second}];
+    }
+    EXPECT_EQ(exported, streamed);
+
+    const std::string said = "chrome trace: ";
+    const std::size_t at = run.output.find(said);
+    ASSERT_NE(at, std::string::npos) << run.output;
+    EXPECT_EQ(std::stoull(run.output.substr(at + said.size())), payload)
+        << run.output;
 }
 
 /** The bytes every writer produces are part of the contract: a change
