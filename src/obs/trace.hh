@@ -50,9 +50,6 @@ class TraceWriter
     /** Single-core shorthand: bind core 0's clock. */
     void setClock(const std::uint64_t *clock) { registerClock(0, clock); }
 
-    /** Core 0's current timestamp (simulated instructions). */
-    std::uint64_t now() const { return nowFor(0); }
-
     /**
      * Create-or-get the track named @p name on @p core. Tracks render
      * as separate rows (threads) in the viewer; in multicore traces

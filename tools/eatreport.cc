@@ -16,7 +16,9 @@
  *  - with --diff, a Figure-10-style comparison of two runs (pJ per
  *    kilo-instruction per structure, plus the normalized total);
  *  - with --chrome-out, a Chrome trace-event export of the stream's
- *    translation/resize/interval/shootdown events on per-core tracks;
+ *    translation/resize/interval/shootdown events on per-core tracks,
+ *    rendered by obs::TraceWriter (events past its cap are counted and
+ *    reported, not written);
  *  - with --reconcile, the exact-accounting check: re-summing the
  *    written events must reproduce the trailing summary record bit for
  *    bit (and, with --telemetry, every telemetry dynamic_pj row must
@@ -45,6 +47,7 @@
 #include "obs/json.hh"
 #include "obs/provenance.hh"
 #include "obs/telemetry.hh"
+#include "obs/trace.hh"
 #include "stats/table.hh"
 
 namespace
@@ -109,14 +112,13 @@ struct CoreAgg
     PicoJoules cohPj = 0.0;
 };
 
-/** One lightweight event kept for the Chrome export. */
-struct ChromeEvent
+/** The Chrome export: one process per core, one track per event
+ *  family. Every core's clock reads @c instr, which holds the stamp
+ *  of the line being recorded: that core's instruction count. */
+struct ChromeExport
 {
-    std::uint64_t instr;
-    unsigned core;
-    obs::ProvKind kind;
-    std::string name;
-    std::string args;
+    obs::TraceWriter trace;
+    std::uint64_t instr = 0;
 };
 
 /** Everything loaded from one provenance stream. */
@@ -153,8 +155,6 @@ struct Stream
      *  sums these survive sampling, so the report and diff prefer
      *  them when present. */
     std::vector<CoreAgg> summaryCores;
-
-    std::vector<ChromeEvent> chrome;
 
     CoreAgg &
     core(unsigned c)
@@ -243,7 +243,7 @@ parseSummaryCores(const obs::JsonValue &summary)
 }
 
 void
-recordEvent(Stream &s, const obs::JsonValue &o, bool keepChrome)
+recordEvent(Stream &s, const obs::JsonValue &o, ChromeExport *chrome)
 {
     const std::string kindName = str(o, "k");
     const obs::ProvKind kind = obs::provKindFromName(kindName);
@@ -323,58 +323,52 @@ recordEvent(Stream &s, const obs::JsonValue &o, bool keepChrome)
         cell.second += pj;
     }
 
-    if (keepChrome && s.chrome.size() < (1u << 20)) {
-        switch (kind) {
-          case obs::ProvKind::Translation: {
-            obs::JsonObject args;
-            args.put("src", str(o, "src"));
-            args.put("pj", pj);
-            if (ps)
-                args.put("page_shift", ps);
-            s.chrome.push_back({instr, core, kind,
-                                "translate:" + str(o, "src"), args.str()});
-            break;
-          }
-          case obs::ProvKind::Resize: {
-            obs::JsonObject args;
-            args.put("from_ways", count(o, "from"));
-            args.put("to_ways", count(o, "to"));
-            s.chrome.push_back({instr, core, kind,
-                                "resize:" + str(o, "s"), args.str()});
-            break;
-          }
-          case obs::ProvKind::Shootdown: {
-            obs::JsonObject args;
-            args.put("remote_cores", count(o, "remote"));
-            args.put("entries", count(o, "entries"));
-            args.put("pj", pj);
-            s.chrome.push_back({instr, core, kind, "shootdown",
-                                args.str()});
-            break;
-          }
-          case obs::ProvKind::CohProbe: {
-            obs::JsonObject args;
-            args.put("targeted_cores", count(o, "targets"));
-            args.put("entries", count(o, "entries"));
-            args.put("version", count(o, "version"));
-            args.put("pj", pj);
-            s.chrome.push_back({instr, core, kind, "coh_probe",
-                                args.str()});
-            break;
-          }
-          case obs::ProvKind::Interval: {
-            s.chrome.push_back({instr, core, kind, "interval_pj",
-                                obs::jsonNumber(pj)});
-            break;
-          }
-          default:
-            break;
-        }
+    if (!chrome)
+        return;
+    chrome->instr = instr;
+    obs::TraceWriter &trace = chrome->trace;
+    trace.registerClock(core, &chrome->instr);
+    obs::JsonObject args;
+    switch (kind) {
+      case obs::ProvKind::Translation:
+        args.put("src", str(o, "src"));
+        args.put("pj", pj);
+        if (ps)
+            args.put("page_shift", ps);
+        trace.instant(trace.track("translations", core),
+                      "translate:" + str(o, "src"), args.str());
+        break;
+      case obs::ProvKind::Resize:
+        args.put("from_ways", count(o, "from"));
+        args.put("to_ways", count(o, "to"));
+        trace.instant(trace.track("lite resizes", core),
+                      "resize:" + str(o, "s"), args.str());
+        break;
+      case obs::ProvKind::Shootdown:
+        args.put("remote_cores", count(o, "remote"));
+        args.put("entries", count(o, "entries"));
+        args.put("pj", pj);
+        trace.instant(trace.track("shootdowns", core), "shootdown",
+                      args.str());
+        break;
+      case obs::ProvKind::CohProbe:
+        args.put("targeted_cores", count(o, "targets"));
+        args.put("entries", count(o, "entries"));
+        args.put("version", count(o, "version"));
+        args.put("pj", pj);
+        trace.instant(trace.track("shootdowns", core), "coh_probe",
+                      args.str());
+        break;
+      case obs::ProvKind::Interval:
+        trace.counter(trace.track("intervals", core), "interval_pj", pj);
+        break;
+      default:
+        break;
     }
 }
 
 Stream
-loadStream(const std::string &path, bool keepChrome)
+loadStream(const std::string &path, ChromeExport *chrome)
 {
     std::ifstream in(path);
     if (!in)
@@ -406,7 +400,7 @@ loadStream(const std::string &path, bool keepChrome)
         const obs::JsonValue &o = parsed.value();
         const std::string schema = str(o, "schema");
         if (schema == obs::kProvEventSchema) {
-            recordEvent(s, o, keepChrome);
+            recordEvent(s, o, chrome);
         } else if (schema == obs::kProvSummarySchema) {
             s.haveSummary = true;
             s.sampleEvery = std::max<std::uint64_t>(
@@ -660,99 +654,6 @@ printDiff(const Stream &a, const Stream &b)
               << "\n";
 }
 
-// --- the Chrome export ---
-
-void
-writeChrome(const Stream &s, const std::string &path)
-{
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        fail("cannot open chrome trace file '" + path + "'");
-
-    unsigned maxCore = 0;
-    for (const auto &e : s.chrome)
-        maxCore = std::max(maxCore, e.core);
-
-    out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    bool first = true;
-    auto emit = [&out, &first](const std::string &json) {
-        if (!first)
-            out << ",";
-        first = false;
-        out << "\n" << json;
-    };
-
-    // One process per core, one thread per event family: the same
-    // pid/tid layout TraceWriter uses, so both exports look alike in
-    // the viewer.
-    const char *tracks[] = {"translations", "lite resizes", "intervals",
-                            "shootdowns"};
-    auto trackOf = [](obs::ProvKind kind) {
-        switch (kind) {
-          case obs::ProvKind::Translation: return 0;
-          case obs::ProvKind::Resize: return 1;
-          case obs::ProvKind::Interval: return 2;
-          default: return 3;
-        }
-    };
-    for (unsigned core = 0; core <= maxCore; ++core) {
-        obs::JsonObject args;
-        args.put("name", "core " + std::to_string(core));
-        obs::JsonObject meta;
-        meta.put("name", "process_name");
-        meta.put("ph", "M");
-        meta.put("pid", core + 1);
-        meta.put("tid", 0);
-        meta.putRaw("args", args.str());
-        emit(meta.str());
-        for (unsigned t = 0; t < 4; ++t) {
-            obs::JsonObject targs;
-            targs.put("name", tracks[t]);
-            obs::JsonObject tmeta;
-            tmeta.put("name", "thread_name");
-            tmeta.put("ph", "M");
-            tmeta.put("pid", core + 1);
-            tmeta.put("tid", t);
-            tmeta.putRaw("args", targs.str());
-            emit(tmeta.str());
-        }
-    }
-
-    std::vector<const ChromeEvent *> ordered;
-    ordered.reserve(s.chrome.size());
-    for (const auto &e : s.chrome)
-        ordered.push_back(&e);
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [](const ChromeEvent *x, const ChromeEvent *y) {
-                         return x->instr < y->instr;
-                     });
-    for (const ChromeEvent *e : ordered) {
-        obs::JsonObject o;
-        const bool counter = e->kind == obs::ProvKind::Interval;
-        o.put("name", e->name);
-        o.put("ph", counter ? "C" : "i");
-        o.put("ts", e->instr);
-        o.put("pid", e->core + 1);
-        o.put("tid", static_cast<unsigned>(trackOf(e->kind)));
-        if (!counter)
-            o.put("s", "t");
-        if (counter) {
-            obs::JsonObject args;
-            args.putRaw("value", e->args);
-            o.putRaw("args", args.str());
-        } else {
-            o.putRaw("args", e->args);
-        }
-        emit(o.str());
-    }
-    out << "\n]}\n";
-    out.flush();
-    if (!out)
-        fail("write failure on chrome trace file '" + path + "'");
-    std::cout << "chrome trace: " << s.chrome.size() << " events -> "
-              << path << "\n";
-}
-
 // --- reconciliation ---
 
 /** One failed expectation -> message; empty return = pass. */
@@ -995,15 +896,25 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const Stream stream = loadStream(provPath, !chromePath.empty());
+    ChromeExport chrome;
+    const Stream stream =
+        loadStream(provPath, chromePath.empty() ? nullptr : &chrome);
     printReport(stream);
 
     if (!diffPath.empty()) {
-        const Stream other = loadStream(diffPath, false);
+        const Stream other = loadStream(diffPath, nullptr);
         printDiff(stream, other);
     }
-    if (!chromePath.empty())
-        writeChrome(stream, chromePath);
+    if (!chromePath.empty()) {
+        const obs::TraceWriter &trace = chrome.trace;
+        const Status written = trace.write(chromePath);
+        if (!written.ok())
+            fail(written.message());
+        std::cout << "chrome trace: "
+                  << trace.eventsRecorded() - trace.eventsDropped()
+                  << " events, " << trace.eventsDropped()
+                  << " dropped -> " << chromePath << "\n";
+    }
 
     if (doReconcile) {
         auto errors = reconcile(stream);
