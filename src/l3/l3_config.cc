@@ -3,20 +3,6 @@
 namespace eat::l3
 {
 
-std::string_view
-l3ModeName(L3Mode mode)
-{
-    switch (mode) {
-      case L3Mode::None:
-        return "none";
-      case L3Mode::Cache:
-        return "cache";
-      case L3Mode::Dram:
-        return "dram";
-    }
-    return "none";
-}
-
 Result<L3Mode>
 l3ModeFromName(std::string_view name)
 {

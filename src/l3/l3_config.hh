@@ -34,10 +34,7 @@ enum class L3Mode
     Dram,  ///< in-DRAM TLB with an SRAM tag cache (die-stacked study)
 };
 
-/** Stable token ("none", "cache", "dram") used by CLI and scenarios. */
-std::string_view l3ModeName(L3Mode mode);
-
-/** Parse an l3ModeName() token. */
+/** Parse the CLI and scenario token "none", "cache" or "dram". */
 Result<L3Mode> l3ModeFromName(std::string_view name);
 
 /** When a walked translation is inserted into the L3 tier. */

@@ -68,7 +68,6 @@ expectFailure(const std::string &cmd, int exitCode,
 
 const std::string kEatsim = EAT_EATSIM_PATH;
 const std::string kEatbatch = EAT_EATBATCH_PATH;
-const std::string kEatperf = EAT_EATPERF_PATH;
 const std::string kEatfuzz = EAT_EATFUZZ_PATH;
 const std::string kEatreport = EAT_EATREPORT_PATH;
 
@@ -307,12 +306,6 @@ TEST(CliEatbatch, ResumeRefusesAForeignL3Fingerprint)
                   "belongs to a different campaign");
 }
 
-TEST(CliEatperf, RequiresAnOutputPath)
-{
-    expectFailure(kEatperf, 2, "usage");
-    expectFailure(kEatperf + " --jobs=nope", 2, "jobs");
-}
-
 TEST(CliEatfuzz, RejectsBadUsage)
 {
     expectFailure(kEatfuzz + " --frobnicate", 2, "usage");
@@ -483,14 +476,6 @@ TEST(CliEatreport, FailsOnMalformedJsonl)
         out << "{\"schema\":\"eat.telemetry\",\"v\":2}\n";
     }
     expectFailure(kEatreport + " --prov=" + wrong, 1, "unknown schema");
-}
-
-TEST(CliEatperf, RejectsBadBaselineFlags)
-{
-    expectFailure(kEatperf + " --out=x --max-regression=abc", 2,
-                  "--max-regression");
-    expectFailure(kEatperf + " --out=x --max-regression=1.5", 2,
-                  "--max-regression");
 }
 
 TEST(CliEatfuzz, RejectsMalformedSeedFile)
