@@ -143,6 +143,8 @@ fromJournalEntry(const JournalEntry &entry,
     return outcome;
 }
 
+} // namespace
+
 unsigned
 effectiveJobs(unsigned requested)
 {
@@ -151,8 +153,6 @@ effectiveJobs(unsigned requested)
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }
-
-} // namespace
 
 std::string
 describeFailure(const TaskOutcome &outcome, unsigned timeoutSeconds)

@@ -146,6 +146,10 @@ struct EngineSummary
     bool interrupted() const { return interruptSignal != 0; }
 };
 
+/** @p requested jobs (EngineOptions::jobs) with 0 resolved to the
+ *  hardware concurrency, at least 1. */
+unsigned effectiveJobs(unsigned requested);
+
 /**
  * One-line diagnostic of @p outcome's failure class — the wording of
  * quarantine records, eatbatch's CSV error column and eatfuzz's

@@ -209,16 +209,6 @@ sweepFingerprint(const BatchOptions &options,
     return out + mc::fingerprint(options.spec);
 }
 
-/** options.jobs with 0 resolved to the hardware concurrency. */
-unsigned
-effectiveJobs(unsigned requested)
-{
-    if (requested != 0)
-        return requested;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
-}
-
 /** Split one RFC-4180 CSV line into cells. */
 std::vector<std::string>
 parseCsvLine(const std::string &line)
@@ -418,7 +408,7 @@ runBatch(const BatchOptions &options, std::ostream &log)
     BatchSummary summary;
     const std::size_t gridSize =
         (mcMode ? 1 : specs.size()) * orgs.size();
-    const unsigned jobs = effectiveJobs(options.jobs);
+    const unsigned jobs = campaign::effectiveJobs(options.jobs);
     const auto sweepStart = std::chrono::steady_clock::now();
 
     // Rows live at their grid index from the start, so whatever order
