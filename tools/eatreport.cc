@@ -114,9 +114,14 @@ struct CoreAgg
 
 /** The Chrome export: one process per core, one track per event
  *  family. Every core's clock reads @c instr, which holds the stamp
- *  of the line being recorded: that core's instruction count. */
+ *  of the line being recorded: that core's instruction count. The
+ *  writer keeps that address, so the export is never copied. */
 struct ChromeExport
 {
+    ChromeExport() = default;
+    ChromeExport(const ChromeExport &) = delete;
+    ChromeExport &operator=(const ChromeExport &) = delete;
+
     obs::TraceWriter trace;
     std::uint64_t instr = 0;
 };
