@@ -16,6 +16,9 @@
  * capped (events past the cap are counted, not stored) so a
  * pathological run cannot exhaust memory; the cap and drop count are
  * reported in the file's metadata.
+ *
+ * eatreport --chrome-out renders a provenance stream's events through
+ * the same writer, so both exports share one layout.
  */
 
 #ifndef EAT_OBS_TRACE_HH
