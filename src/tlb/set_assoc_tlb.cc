@@ -36,7 +36,8 @@ SetAssocTlb::SetAssocTlb(std::string name, unsigned entries, unsigned ways,
 }
 
 TlbLookupResult
-SetAssocTlb::lookupWithShift(Addr vaddr, unsigned idxShift, Asid asid)
+SetAssocTlb::lookupWithShift(Addr vaddr, unsigned idxShift, Asid asid,
+                             bool /*withDistance*/)
 {
     const unsigned set = indexOf(vaddr, idxShift);
     const unsigned base = set * ways_;

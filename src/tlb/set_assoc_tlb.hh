@@ -63,11 +63,12 @@ class SetAssocTlb
 
     /** Look up @p vaddr (LRU updated on hit), indexing with @p shift.
      *  The tag match requires @p asid equality; asid 0 (the default)
-     *  reproduces the untagged single-core behavior. */
+     *  reproduces the untagged single-core behavior. @p withDistance
+     *  asks for the hit's LRU distance (TlbLookupResult::lruDistance). */
     TlbLookupResult
-    lookup(Addr vaddr, Asid asid = 0)
+    lookup(Addr vaddr, Asid asid = 0, bool withDistance = false)
     {
-        return lookupWithShift(vaddr, shift_, asid);
+        return lookupWithShift(vaddr, shift_, asid, withDistance);
     }
 
     /**
@@ -76,7 +77,8 @@ class SetAssocTlb
      * covered region (and ASID).
      */
     TlbLookupResult lookupWithShift(Addr vaddr, unsigned idxShift,
-                                    Asid asid = 0);
+                                    Asid asid = 0,
+                                    bool withDistance = false);
 
     /** State-preserving hit test (no LRU update, no counters). */
     bool probe(Addr vaddr, Asid asid = 0) const;

@@ -123,7 +123,7 @@ TEST_P(ProfilerExactnessTest, PredictsDownsizedMisses)
                                           : rng.below(sets * 40);
         const Addr vaddr = page << 12;
 
-        auto res = full.lookup(vaddr);
+        auto res = full.lookup(vaddr, 0, /*withDistance=*/true);
         if (res.hit) {
             profiler.recordHit(res.lruDistance, kFullWays);
         } else {
