@@ -24,6 +24,11 @@ enum class PageSize : std::uint8_t
 /** Number of distinct page sizes. */
 constexpr unsigned kNumPageSizes = 3;
 
+/** Width of the virtual addresses the four-level page table maps: it
+ *  indexes bits 12-47, so an address with any higher bit set has no
+ *  translation of its own. */
+constexpr unsigned kVaddrBits = 48;
+
 /** log2 of the page size in bytes (12 / 21 / 30). */
 constexpr unsigned
 pageShift(PageSize size)

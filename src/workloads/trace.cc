@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "base/logging.hh"
+#include "vm/page_size.hh"
 
 namespace eat::workloads
 {
@@ -209,6 +210,14 @@ TraceReader::next()
     MemOp op;
     op.vaddr = decodeU64(p);
     op.instrGap = decodeU32(p + 8);
+    // The page table maps 48-bit addresses only: a higher bit would
+    // walk to the address's 48-bit alias instead of failing.
+    if (op.vaddr >> vm::kVaddrBits != 0) {
+        eat_fatal("corrupt trace file: record ", read_, " of ", total_,
+                  " has vaddr 0x", std::hex, op.vaddr, std::dec,
+                  ", outside the ", vm::kVaddrBits,
+                  "-bit virtual address space");
+    }
     bufferPos_ += kRecordBytes;
     ++read_;
     return op;

@@ -169,6 +169,28 @@ TEST_F(TraceTest, DetectsTrailingGarbage)
     EXPECT_THROW(TraceReader r(path_), std::runtime_error);
 }
 
+TEST_F(TraceTest, RejectsAddressesThePageTableCannotMap)
+{
+    // 0x7fffffffffff (the top 48-bit address) loads; bit 50 set on
+    // record 1 would walk to its 48-bit alias, so decoding stops there.
+    {
+        TraceWriter w(path_);
+        w.write({0x7fffffffffff, 1});
+        w.write({(std::uint64_t{1} << 50) | 0x20ab3da8, 1});
+    }
+    TraceReader r(path_);
+    ASSERT_TRUE(r.next().has_value());
+    try {
+        (void)r.next();
+        FAIL() << "expected an address-width error";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("record 1 of 2"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("0x4000020ab3da8"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("48-bit"), std::string::npos) << msg;
+    }
+}
+
 TEST_F(TraceTest, RoundTripsAtExactBlockBoundaries)
 {
     // The buffered reader/writer move records in ~64 KiB blocks of
