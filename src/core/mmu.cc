@@ -410,7 +410,9 @@ Mmu::probeL1(unsigned level, tlb::SetAssocTlb &tlb, Addr vaddr,
         chargeRead(s, lw);
         return;
     }
-    const auto res = tlb.lookupWithShift(vaddr, idxShift, asid_);
+    // Only Lite reads the hit's LRU distance; no other lookup asks.
+    const auto res = tlb.lookupWithShift(vaddr, idxShift, asid_,
+                                         /*withDistance=*/lite_ != nullptr);
     chargeRead(s, lw, res.hit);
     if (!res.hit)
         return;

@@ -15,10 +15,9 @@ SetAssocTlb::SetAssocTlb(std::string name, unsigned entries, unsigned ways,
       activeWays_(ways),
       logActiveWays_(static_cast<unsigned>(floorLog2(ways ? ways : 1))),
       shift_(shift),
-      valid_(entries, 0),
-      shifts_(entries, 0),
-      asids_(entries, 0),
-      vtags_(entries, 0),
+      keys_(entries, kInvalidKey),
+      shifts_(entries, static_cast<std::uint8_t>(shift)),
+      flips_(entries, 0),
       vbases_(entries, 0),
       pbases_(entries, 0),
       sizes_(entries, vm::PageSize::Size4K),
@@ -37,24 +36,26 @@ SetAssocTlb::SetAssocTlb(std::string name, unsigned entries, unsigned ways,
 
 TlbLookupResult
 SetAssocTlb::lookupWithShift(Addr vaddr, unsigned idxShift, Asid asid,
-                             bool /*withDistance*/)
+                             bool withDistance)
 {
-    const unsigned set = indexOf(vaddr, idxShift);
-    const unsigned base = set * ways_;
-    const std::uint8_t *valid = &valid_[base];
-    const std::uint8_t *shifts = &shifts_[base];
-    const Asid *asids = &asids_[base];
-    const Addr *vtags = &vtags_[base];
-    const std::uint64_t *stamps = &stamps_[base];
+    const unsigned base = indexOf(vaddr, idxShift) * ways_;
+    const std::uint64_t *keys = &keys_[base];
 
-    // Branchless probe: one compare per active way folded into a hit
-    // mask; the hit is the lowest matching way, exactly the first
-    // match a way-order walk would take.
+    // Branchless probe: one key compare per active way folded into a
+    // hit mask; the hit is the lowest matching way, exactly the first
+    // match a way-order walk would take. Invalid slots hold
+    // kInvalidKey, which no probe key equals.
     std::uint64_t mask = 0;
-    for (unsigned way = 0; way < activeWays_; ++way) {
-        const bool match = valid[way] && asids[way] == asid &&
-                           (vaddr >> shifts[way]) == vtags[way];
-        mask |= static_cast<std::uint64_t>(match) << way;
+    if (uniformShift_) {
+        const std::uint64_t key = keyOf(vaddr, shift_, asid);
+        for (unsigned way = 0; way < activeWays_; ++way)
+            mask |= static_cast<std::uint64_t>(keys[way] == key) << way;
+    } else {
+        const std::uint8_t *shifts = &shifts_[base];
+        for (unsigned way = 0; way < activeWays_; ++way) {
+            const bool match = keys[way] == keyOf(vaddr, shifts[way], asid);
+            mask |= static_cast<std::uint64_t>(match) << way;
+        }
     }
     if (mask == 0) {
         ++misses_;
@@ -62,36 +63,37 @@ SetAssocTlb::lookupWithShift(Addr vaddr, unsigned idxShift, Asid asid,
     }
     const unsigned hitWay =
         static_cast<unsigned>(std::countr_zero(mask));
-    const std::uint64_t hitStamp = stamps[hitWay];
 
     // LRU distance: the number of other active ways older than the
     // hit, where invalid ways count as older (they sit at the LRU end
     // of the stack). Stamps are unique — every touch draws from one
     // clock — so a plain comparison sum over the flat array suffices.
     unsigned older = 0;
-    for (unsigned way = 0; way < activeWays_; ++way) {
-        older += static_cast<unsigned>(
-            way != hitWay &&
-            (!valid[way] || stamps[way] < hitStamp));
+    if (withDistance) {
+        const std::uint64_t *stamps = &stamps_[base];
+        const std::uint64_t hitStamp = stamps[hitWay];
+        for (unsigned way = 0; way < activeWays_; ++way) {
+            older += static_cast<unsigned>(
+                way != hitWay &&
+                (keys[way] == kInvalidKey || stamps[way] < hitStamp));
+        }
+        eat_assert(older < activeWays_, "corrupt recency stamps");
     }
-    eat_assert(older < activeWays_, "corrupt recency stamps");
 
-    stamps_[base + hitWay] = ++clock_;
+    const unsigned i = base + hitWay;
+    stamps_[i] = ++clock_;
     ++hits_;
-    ppnFlipsConsumed_ += valid[hitWay] > 1;
-    return TlbLookupResult{true, older, entryAt(base + hitWay)};
+    ppnFlipsConsumed_ += flips_[i] != 0;
+    return TlbLookupResult{true, older, entryAt(i)};
 }
 
 bool
 SetAssocTlb::probe(Addr vaddr, Asid asid) const
 {
     const unsigned base = indexOf(vaddr, shift_) * ways_;
-    for (unsigned way = 0; way < activeWays_; ++way) {
-        const unsigned i = base + way;
-        if (valid_[i] && asids_[i] == asid &&
-            (vaddr >> shifts_[i]) == vtags_[i]) {
+    for (unsigned i = base; i < base + activeWays_; ++i) {
+        if (keys_[i] == keyOf(vaddr, shifts_[i], asid))
             return true;
-        }
     }
     return false;
 }
@@ -99,6 +101,10 @@ SetAssocTlb::probe(Addr vaddr, Asid asid) const
 bool
 SetAssocTlb::fill(const TlbEntry &entry)
 {
+    eat_assert(entry.shift >= vm::pageShift(vm::PageSize::Size4K) &&
+                   entry.vbase >> vm::kVaddrBits == 0,
+               name_, ": entry ", entry.vbase, "/", entry.shift,
+               " outside the ", vm::kVaddrBits, "-bit key space");
     const unsigned set = indexOf(entry.vbase, entry.shift);
     const unsigned base = set * ways_;
 
@@ -112,12 +118,11 @@ SetAssocTlb::fill(const TlbEntry &entry)
     std::uint64_t lruStamp = 0;
     for (unsigned way = 0; way < activeWays_; ++way) {
         const unsigned i = base + way;
-        if (valid_[i] && asids_[i] == entry.asid &&
-            (entry.vbase >> shifts_[i]) == vtags_[i]) {
+        if (keys_[i] == keyOf(entry.vbase, shifts_[i], entry.asid)) {
             victim = way; // refill in place
             break;
         }
-        if (!valid_[i]) {
+        if (keys_[i] == kInvalidKey) {
             if (invalid == none)
                 invalid = way;
         } else if (lru == none || stamps_[i] < lruStamp) {
@@ -132,14 +137,14 @@ SetAssocTlb::fill(const TlbEntry &entry)
     }
 
     const unsigned i = base + victim;
-    valid_[i] = 1;
+    keys_[i] = keyOf(entry.vbase, entry.shift, entry.asid);
     shifts_[i] = static_cast<std::uint8_t>(entry.shift);
-    asids_[i] = entry.asid;
-    vtags_[i] = entry.vbase >> entry.shift;
+    flips_[i] = 0;
     vbases_[i] = entry.vbase;
     pbases_[i] = entry.pbase;
     sizes_[i] = entry.size;
     stamps_[i] = ++clock_;
+    uniformShift_ = uniformShift_ && entry.shift == shift_;
     ++fills_;
     return evicted;
 }
@@ -147,21 +152,21 @@ SetAssocTlb::fill(const TlbEntry &entry)
 void
 SetAssocTlb::invalidateAll()
 {
-    std::fill(valid_.begin(), valid_.end(), 0);
+    std::fill(keys_.begin(), keys_.end(), kInvalidKey);
 }
 
 unsigned
 SetAssocTlb::invalidateRange(Addr vbase, Addr vlimit, Asid asid)
 {
     unsigned n = 0;
-    for (unsigned i = 0; i < valid_.size(); ++i) {
-        if (!valid_[i] || asids_[i] != asid)
+    for (unsigned i = 0; i < keys_.size(); ++i) {
+        if (keys_[i] == kInvalidKey || static_cast<Asid>(keys_[i]) != asid)
             continue;
         const Addr span = Addr{1} << shifts_[i];
         const Addr entryBase = alignDown(vbases_[i], span);
         const Addr entryEnd = entryBase + span;
         if (entryBase < vlimit && entryEnd > vbase) {
-            valid_[i] = 0;
+            keys_[i] = kInvalidKey;
             ++n;
         }
     }
@@ -185,7 +190,7 @@ SetAssocTlb::setActiveWays(unsigned w)
             for (unsigned set = 0; set < sets_; ++set) {
                 const unsigned base = set * ways_;
                 for (unsigned way = w; way < activeWays_; ++way)
-                    valid_[base + way] = 0;
+                    keys_[base + way] = kInvalidKey;
             }
         }
     }
@@ -198,8 +203,8 @@ unsigned
 SetAssocTlb::validCount() const
 {
     unsigned n = 0;
-    for (const std::uint8_t v : valid_)
-        n += v ? 1 : 0;
+    for (const std::uint64_t key : keys_)
+        n += key != kInvalidKey ? 1 : 0;
     return n;
 }
 
@@ -212,7 +217,7 @@ SetAssocTlb::validInDisabledWays() const
     for (unsigned set = 0; set < sets_; ++set) {
         const unsigned base = set * ways_;
         for (unsigned way = activeWays_; way < ways_; ++way)
-            n += valid_[base + way] ? 1 : 0;
+            n += keys_[base + way] != kInvalidKey ? 1 : 0;
     }
     return n;
 }
@@ -224,22 +229,23 @@ SetAssocTlb::corruptRandomEntry(std::uint64_t rnd, bool flipTag)
     const unsigned start = static_cast<unsigned>(rnd % total);
     for (unsigned n = 0; n < total; ++n) {
         const unsigned i = (start + n) % total;
-        if (!valid_[i])
+        if (keys_[i] == kInvalidKey)
             continue;
         if (flipTag) {
             // Flip a tag bit above the index field so the entry stays
             // in its set but claims a different (aliased) region; the
-            // cached tag must track the corrupted base, exactly as a
-            // real tag array would hold the flipped bit.
+            // key must track the corrupted base, exactly as a real tag
+            // array would hold the flipped bit.
             const unsigned bit =
                 shifts_[i] + floorLog2(sets_) + (rnd >> 32) % 4;
             vbases_[i] ^= Addr{1} << bit;
-            vtags_[i] = vbases_[i] >> shifts_[i];
+            keys_[i] = keyOf(vbases_[i], shifts_[i],
+                             static_cast<Asid>(keys_[i]));
         } else {
             // Flip a PPN bit: the next hit returns a wrong paddr.
             const unsigned flip = (rnd >> 32) % 4;
             pbases_[i] ^= Addr{1} << (shifts_[i] + flip);
-            valid_[i] ^= static_cast<std::uint8_t>(2u << flip);
+            flips_[i] ^= static_cast<std::uint8_t>(1u << flip);
         }
         return true;
     }

@@ -9,19 +9,24 @@
  *
  * Two features exist specifically for the Lite mechanism:
  *
- *  - lookups report the hit's LRU *distance* among the active ways
- *    (0 = LRU position, activeWays-1 = MRU), feeding the Figure-6
- *    lru-distance-counters;
+ *  - a lookup that asks for it reports the hit's LRU *distance* among
+ *    the active ways (0 = LRU position, activeWays-1 = MRU), feeding
+ *    the Figure-6 lru-distance-counters; only the Mmu's L1 page-TLB
+ *    probes ask, and only with Lite attached, so no other lookup pays
+ *    for the scan;
  *  - setActiveWays() disables/enables physical ways in powers of two;
  *    disabling invalidates the victims (TLBs hold no dirty data), and
  *    lookups search only active ways, which is what saves energy.
  *
  * Storage is structure-of-arrays: the per-slot fields live in flat
- * parallel arrays laid out set-major (slot index = set * ways + way),
- * so the probe touches only the fields it compares — tag, ASID, shift,
- * validity — as contiguous runs instead of striding across whole entry
- * objects. The probe accumulates a branchless per-way hit mask and the
- * LRU-distance/victim scans run over the flat stamp array.
+ * parallel arrays laid out set-major (slot index = set * ways + way).
+ * Validity, tag and ASID are fused into one 64-bit key per slot, so
+ * the probe makes one compare per active way, folded into a branchless
+ * hit mask. While every fill has used the TLB's own shift, the probe
+ * builds its key once per lookup; a TLB that has held another page
+ * size (TLB_PP's mixed TLBs, the combined L1) builds it per way from
+ * the slot's shift. The distance and victim scans run over the flat
+ * stamp array.
  */
 
 #ifndef EAT_TLB_SET_ASSOC_TLB_HH
@@ -41,7 +46,8 @@ namespace eat::tlb
 struct TlbLookupResult
 {
     bool hit = false;
-    /** LRU distance of the hit among active ways (valid iff hit). */
+    /** LRU distance of the hit among active ways. Set only on a hit
+     *  of a lookup that asked for it (withDistance); 0 otherwise. */
     unsigned lruDistance = 0;
     TlbEntry entry{};
 };
@@ -165,18 +171,34 @@ class SetAssocTlb
     void forceActiveWays(unsigned w);
 
   private:
+    /** The key of an invalid slot. No valid key has all ones: every
+     *  shift is at least a 4 KB page's, so a region key of an address
+     *  below 2^vm::kVaddrBits leaves its top 12 bits clear. */
+    static constexpr std::uint64_t kInvalidKey = ~std::uint64_t{0};
+
+    /** The fused key of the region (@p vaddr >> @p shift) in address
+     *  space @p asid. Exact while vaddr >> shift fits in 48 bits, which
+     *  every address below 2^vm::kVaddrBits does. */
+    static constexpr std::uint64_t
+    keyOf(Addr vaddr, unsigned shift, Asid asid)
+    {
+        static_assert(sizeof(Asid) == 2, "the key holds a 16-bit ASID");
+        return ((vaddr >> shift) << 16) | asid;
+    }
+
     unsigned
     indexOf(Addr vaddr, unsigned idxShift) const
     {
         return static_cast<unsigned>((vaddr >> idxShift) & (sets_ - 1));
     }
 
-    /** Reassemble the entry stored at flat slot @p i. */
+    /** Reassemble the entry stored at flat slot @p i (valid slots
+     *  only: an invalid key holds no ASID). */
     TlbEntry
     entryAt(unsigned i) const
     {
         return TlbEntry{vbases_[i], pbases_[i], sizes_[i], shifts_[i],
-                        asids_[i]};
+                        static_cast<Asid>(keys_[i])};
     }
 
     std::string name_;
@@ -187,22 +209,24 @@ class SetAssocTlb
     unsigned shift_;
 
     // Parallel per-slot arrays, set-major: slot i = set * ways_ + way.
-    // vtags_ caches vbase >> shift so the probe's tag compare is one
-    // shift of the probe address and one load, never a recompute of
-    // the entry's own alignment. valid_ bit 0 is the valid bit; bits
-    // 1-4 record which of the four injectable PPN bits were flipped
-    // since the fill, so a hit knows without a branch whether it
-    // returned a corrupted translation.
-    std::vector<std::uint8_t> valid_;
+    // keys_ is the one word the probe compares: keyOf(vbase, shift,
+    // asid) while the slot is valid, kInvalidKey while it is not; every
+    // change to a slot's validity, tag or ASID rewrites it. flips_
+    // records which of the four injectable PPN bits were flipped since
+    // the fill, so a hit knows without a branch whether it returned a
+    // corrupted translation.
+    std::vector<std::uint64_t> keys_;
     std::vector<std::uint8_t> shifts_;
-    std::vector<Asid> asids_;
-    std::vector<Addr> vtags_;
+    std::vector<std::uint8_t> flips_;
     std::vector<Addr> vbases_;
     std::vector<Addr> pbases_;
     std::vector<vm::PageSize> sizes_;
     std::vector<std::uint64_t> stamps_;
 
     std::uint64_t clock_ = 0;
+    /** True while every fill has used shift_: each valid key then
+     *  holds vbase >> shift_, and one probe key serves every way. */
+    bool uniformShift_ = true;
     bool dropNextInvalidation_ = false;
 
     std::uint64_t hits_ = 0;
