@@ -14,8 +14,11 @@
 #include "check/shadow_checker.hh"
 #include "check/shadow_translator.hh"
 #include "core/mmu.hh"
+#include "mc/mc_simulator.hh"
 #include "sim/simulator.hh"
+#include "vm/memory_manager.hh"
 #include "workloads/suite.hh"
+#include "workloads/workload.hh"
 
 namespace eat::check
 {
@@ -157,6 +160,116 @@ TEST(ShadowTranslatorTest, RebuildSeesNewMappings)
     ASSERT_TRUE(golden.translatePage(0x2000).has_value());
     EXPECT_EQ(golden.translatePage(0x2000)->paddr(0x2000), 0x201000u);
 }
+
+/**
+ * Tallies where a golden translator and the OS tables disagree, keeping
+ * the first disagreement's description for the failure message.
+ */
+struct OsTableAgreement
+{
+    const ShadowTranslator &golden;
+    const vm::MemoryManager &mm;
+    std::uint64_t checked = 0;
+    std::uint64_t disagreements = 0;
+    std::string first{};
+
+    void
+    check(Addr vaddr)
+    {
+        ++checked;
+        const auto page = golden.translatePage(vaddr);
+        const auto wantPage = mm.pageTable().translate(vaddr);
+        const bool pageOk =
+            page.has_value() == wantPage.has_value() &&
+            (!wantPage || (page->vbase == wantPage->vbase &&
+                           page->pbase == wantPage->pbase &&
+                           page->size == wantPage->size));
+        const auto range = golden.translateRange(vaddr);
+        const auto wantRange = mm.rangeTable().lookup(vaddr);
+        const bool rangeOk = range == wantRange;
+        if (pageOk && rangeOk)
+            return;
+        if (++disagreements == 1) {
+            first = detail::cat("vaddr 0x", std::hex, vaddr,
+                                pageOk ? "" : ": page translation differs",
+                                rangeOk ? "" : ": range translation differs");
+        }
+    }
+
+    /** Each region's first byte, last byte and one byte past it. */
+    void
+    checkRegionEdges(const std::vector<vm::Region> &regions)
+    {
+        for (const auto &r : regions) {
+            check(r.vbase);
+            check(r.vlimit() - 1);
+            check(r.vlimit());
+        }
+    }
+};
+
+/** Pins ShadowTranslator to PageTable::translate and RangeTable::lookup
+ *  over real address spaces, before and after OS churn. */
+class ShadowTranslatorOsTest : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(ShadowTranslatorOsTest, AgreesWithThePageAndRangeTables)
+{
+    constexpr std::uint64_t kSeed = 1;
+    constexpr unsigned kStreamOps = 10'000;
+    const auto spec = workloads::findWorkload(GetParam());
+    ASSERT_TRUE(spec.has_value());
+
+    for (const core::MmuOrg org : core::allOrgs()) {
+        SCOPED_TRACE(core::orgName(org));
+        sim::SimConfig cfg;
+        cfg.workload = *spec;
+        cfg.mmu = core::MmuConfig::make(org);
+        // The address space and stream the engine builds for this cell.
+        const auto mm = mc::makeAddressSpace(cfg, {*spec}, kSeed);
+        workloads::WorkloadGenerator gen(*spec, *mm, kSeed);
+        const std::vector<vm::Region> &regions = gen.regions();
+        ASSERT_FALSE(regions.empty());
+        ShadowTranslator golden(mm->pageTable(), &mm->rangeTable());
+
+        auto expectAgreement = [&](const char *phase) {
+            SCOPED_TRACE(phase);
+            OsTableAgreement agree{golden, *mm};
+            agree.checkRegionEdges(regions);
+            for (unsigned i = 0; i < kStreamOps; ++i)
+                agree.check(gen.next().vaddr);
+            EXPECT_EQ(agree.checked, 3 * regions.size() + kStreamOps);
+            EXPECT_EQ(agree.disagreements, 0u) << agree.first;
+        };
+        expectAgreement("initial snapshot");
+
+        // The engine's OS churn: the largest region is demoted and then
+        // promoted under the THP policies, compacted under the others.
+        const vm::Region *largest = &regions[0];
+        for (const auto &r : regions) {
+            if (r.bytes > largest->bytes)
+                largest = &r;
+        }
+        if (mm->policy().transparentHugePages) {
+            mm->demoteRegion(*largest);
+            golden.rebuild();
+            expectAgreement("after demotion");
+            mm->promoteRegion(*largest);
+            golden.rebuild();
+            expectAgreement("after promotion");
+        } else {
+            mm->compactRegion(*largest);
+            golden.rebuild();
+            expectAgreement("after compaction");
+        }
+    }
+}
+
+// mcf maps few runs, omnetpp many (97 in a fig10-grid snapshot), and
+// canneal both 4 KB and 2 MB runs under THP.
+INSTANTIATE_TEST_SUITE_P(OsTables, ShadowTranslatorOsTest,
+                         ::testing::Values("mcf", "omnetpp", "canneal"));
 
 // --- the checker fires on corrupted TLB state ------------------------
 
