@@ -43,21 +43,18 @@ parseCheckLevel(std::string_view text)
 ShadowChecker::ShadowChecker(CheckLevel level,
                              const vm::PageTable &pageTable,
                              const vm::RangeTable *rangeTable)
-    : level_(level), golden_(pageTable, rangeTable), active_(&golden_)
+    : level_(level)
 {
+    active_ = &contexts_.try_emplace(0, pageTable, rangeTable).first->second;
 }
 
 void
 ShadowChecker::addContext(tlb::Asid asid, const vm::PageTable &pageTable,
                           const vm::RangeTable *rangeTable)
 {
-    eat_assert(asid != 0,
-               "context 0 is the constructor's tables; register only "
-               "additional address spaces");
-    const auto [it, inserted] =
-        contexts_.try_emplace(asid, pageTable, rangeTable);
+    const bool inserted =
+        contexts_.try_emplace(asid, pageTable, rangeTable).second;
     eat_assert(inserted, "asid ", asid, " registered twice");
-    (void)it;
 }
 
 void
@@ -65,24 +62,16 @@ ShadowChecker::setActiveAsid(tlb::Asid asid)
 {
     if (asid == activeAsid_)
         return;
-    if (asid == 0) {
-        active_ = &golden_;
-    } else {
-        const auto it = contexts_.find(asid);
-        eat_assert(it != contexts_.end(),
-                   "context switch to unregistered asid ", asid);
-        active_ = &it->second;
-    }
+    const auto it = contexts_.find(asid);
+    eat_assert(it != contexts_.end(),
+               "context switch to unregistered asid ", asid);
+    active_ = &it->second;
     activeAsid_ = asid;
 }
 
 void
 ShadowChecker::rebuildContext(tlb::Asid asid)
 {
-    if (asid == 0) {
-        golden_.rebuild();
-        return;
-    }
     const auto it = contexts_.find(asid);
     eat_assert(it != contexts_.end(),
                "rebuild of unregistered asid ", asid);

@@ -176,8 +176,10 @@ class ShadowChecker
                        const std::optional<vm::RangeTranslation> &golden);
 
     CheckLevel level_;
-    ShadowTranslator golden_; ///< context 0 (the only one single-core)
-    std::map<tlb::Asid, ShadowTranslator> contexts_; ///< asids > 0
+    /** Golden tables by ASID; the constructor's are context 0 (the
+     *  only one single-core). Map nodes never move, so active_ stays
+     *  valid as contexts are added. */
+    std::map<tlb::Asid, ShadowTranslator> contexts_;
     ShadowTranslator *active_ = nullptr;
     tlb::Asid activeAsid_ = 0;
     std::string coreLabel_;

@@ -1,24 +1,53 @@
 #include "check/shadow_translator.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 
 namespace eat::check
 {
 
-const PageRunList::Run *
-PageRunList::find(Addr vaddr) const
+void
+RunList::add(const Run &run)
 {
-    const auto it = std::upper_bound(
-        runs_.begin(), runs_.end(), vaddr,
-        [](Addr v, const Run &r) { return v < r.vbase; });
-    if (it == runs_.begin())
-        return nullptr;
-    const Run &run = *(it - 1);
-    if (vaddr >= run.vbase && vaddr < run.vlimit)
-        return &run;
-    return nullptr;
+    eat_assert(runs_.empty() || runs_.back().vlimit <= run.vbase,
+               "runs added out of vbase order");
+    runs_.push_back(run);
+}
+
+void
+RunList::addPages(Addr vbase, Addr pbase, vm::PageSize size,
+                  std::uint64_t count)
+{
+    const Addr vlimit = vbase + vm::pageBytes(size) * count;
+    if (!runs_.empty()) {
+        Run &back = runs_.back();
+        if (back.size == size && back.vlimit == vbase &&
+            back.paddr(back.vlimit) == pbase) {
+            back.vlimit = vlimit;
+            return;
+        }
+    }
+    add({{vbase, vlimit, pbase}, size});
+}
+
+bool
+RunList::search(Addr vaddr) const
+{
+    if (runs_.empty())
+        return false;
+    // Halve [base, base + n) toward the last run with vbase <= vaddr
+    // (the first run when there is none). The select compiles to a
+    // conditional move: no branch to mispredict on random addresses.
+    const Run *base = runs_.data();
+    std::size_t n = runs_.size();
+    while (n > 1) {
+        const std::size_t half = n / 2;
+        base = base[half].vbase <= vaddr ? base + half : base;
+        n -= half;
+    }
+    if (!base->contains(vaddr))
+        return false;
+    last_ = *base;
+    return true;
 }
 
 ShadowTranslator::ShadowTranslator(const vm::PageTable &pageTable,
@@ -31,92 +60,22 @@ ShadowTranslator::ShadowTranslator(const vm::PageTable &pageTable,
 void
 ShadowTranslator::rebuild()
 {
-    pages4K_.clear();
-    pages2M_.clear();
-    pages1G_.clear();
+    pages_.clear();
     ranges_.clear();
-    pageMemo_.assign(kPageMemoSlots, PageMemo{});
-    last_ = PageMemo{};
-    lastRange_.reset();
+    pageCount_ = 0;
 
     pageTable_.forEachLeafRun(
         [this](const vm::Translation &t, std::uint64_t count) {
-            const Addr bytes = vm::pageBytes(t.size);
-            switch (t.size) {
-              case vm::PageSize::Size4K:
-                pages4K_.add(t.vbase, t.pbase, bytes, count);
-                break;
-              case vm::PageSize::Size2M:
-                pages2M_.add(t.vbase, t.pbase, bytes, count);
-                break;
-              case vm::PageSize::Size1G:
-                pages1G_.add(t.vbase, t.pbase, bytes, count);
-                break;
-            }
+            pages_.addPages(t.vbase, t.pbase, t.size, count);
+            pageCount_ += count;
         });
 
+    // The range table merges adjacent ranges itself; copying its
+    // entries as they are keeps its bounds in mismatch messages.
     if (rangeTable_) {
-        ranges_.reserve(rangeTable_->size());
         for (const auto &[vbase, range] : *rangeTable_)
-            ranges_.push_back(range);
-        eat_assert(std::is_sorted(ranges_.begin(), ranges_.end(),
-                                  [](const auto &a, const auto &b) {
-                                      return a.vbase < b.vbase;
-                                  }),
-                   "range table iteration out of order");
+            ranges_.add({range});
     }
-}
-
-std::optional<vm::Translation>
-ShadowTranslator::translatePageSearch(Addr vaddr, Addr key) const
-{
-    PageMemo &memo = pageMemo_[(key >> 12) & (kPageMemoSlots - 1)];
-    std::optional<vm::Translation> result;
-    if (const auto *run = pages4K_.find(vaddr)) {
-        result = vm::Translation{key, run->pbase + (key - run->vbase),
-                                 vm::PageSize::Size4K};
-    } else if (const auto *run2 = pages2M_.find(vaddr)) {
-        const Addr vb = vm::pageBase(vaddr, vm::PageSize::Size2M);
-        result = vm::Translation{vb, run2->pbase + (vb - run2->vbase),
-                                 vm::PageSize::Size2M};
-    } else if (const auto *run1 = pages1G_.find(vaddr)) {
-        const Addr vb = vm::pageBase(vaddr, vm::PageSize::Size1G);
-        result = vm::Translation{vb, run1->pbase + (vb - run1->vbase),
-                                 vm::PageSize::Size1G};
-    }
-    memo.key = key;
-    memo.mapped = result.has_value();
-    if (result)
-        memo.t = *result;
-    last_ = memo;
-    return result;
-}
-
-std::optional<vm::RangeTranslation>
-ShadowTranslator::translateRange(Addr vaddr) const
-{
-    if (lastRange_ && lastRange_->contains(vaddr))
-        return lastRange_;
-
-    // First range with vbase > vaddr; the candidate is its predecessor.
-    auto it = std::upper_bound(ranges_.begin(), ranges_.end(), vaddr,
-                               [](Addr v, const vm::RangeTranslation &r) {
-                                   return v < r.vbase;
-                               });
-    if (it == ranges_.begin())
-        return std::nullopt;
-    --it;
-    if (it->contains(vaddr)) {
-        lastRange_ = *it;
-        return *it;
-    }
-    return std::nullopt;
-}
-
-std::size_t
-ShadowTranslator::pageCount() const
-{
-    return pages4K_.pages() + pages2M_.pages() + pages1G_.pages();
 }
 
 } // namespace eat::check

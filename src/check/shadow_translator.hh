@@ -3,19 +3,23 @@
  * Golden-model address translator for differential checking.
  *
  * An independent, deliberately simple implementation of translation:
- * per-page-size sorted run lists plus a sorted range list, built by
- * snapshotting the OS page and range tables. It shares no code with the
- * radix page-table walk, the TLB hierarchy, or the range-TLB datapath,
- * so agreement between the two is meaningful evidence of correctness —
+ * a sorted run list of pages and one of ranges, built by snapshotting
+ * the OS page and range tables. It shares no code with the radix
+ * page-table walk, the TLB hierarchy, or the range-TLB datapath, so
+ * agreement between the two is meaningful evidence of correctness —
  * and disagreement localizes a bug (or an injected fault) to the MMU
  * side.
  *
- * The snapshot visits the leaves in ascending vbase order and merges
- * mappings contiguous in both spaces into runs, so a large 4 KB-paged
- * process collapses from one entry per page to one entry per physical
- * extent. Lookups binary-search the run list and remember the last
- * translation served — checks arrive with page locality, and the memo
- * answers repeats without searching.
+ * The page snapshot visits the leaves in ascending vbase order and
+ * merges mappings of one size contiguous in both spaces into runs, so
+ * a large 4 KB-paged process collapses from one entry per page to one
+ * entry per physical extent; one list covers every page size, each run
+ * carrying its own. The range snapshot copies the range table's
+ * entries as they are. Either list answers a lookup from a copy of the
+ * last run it served — checks arrive with locality, and consecutive
+ * ones often stay in one run — and otherwise binary-searches without
+ * branches. A snapshot holds tens of runs, so it stays cache resident
+ * and costs little to rebuild.
  */
 
 #ifndef EAT_CHECK_SHADOW_TRANSLATOR_HH
@@ -33,54 +37,59 @@ namespace eat::check
 {
 
 /**
- * Sorted list of merged same-size mappings: [vbase, vlimit) maps
- * contiguously to pbase. Append-in-order build, binary-search lookup.
+ * Sorted list of disjoint runs, each mapping [vbase, vlimit)
+ * contiguously to pbase in pages of one size. Append-in-order build;
+ * find() answers from a copy of the last run it served before it
+ * searches.
  */
-class PageRunList
+class RunList
 {
   public:
-    struct Run
+    /** A range translation and the size of the pages it is made of
+     *  (range-table entries keep the 4 KB default). */
+    struct Run : vm::RangeTranslation
     {
-        Addr vbase = 0;
-        Addr vlimit = 0;
-        Addr pbase = 0;
+        vm::PageSize size = vm::PageSize::Size4K;
     };
 
+    /** Empty the list and forget the last run served. */
     void
     clear()
     {
         runs_.clear();
-        pages_ = 0;
+        last_ = Run{};
     }
 
-    /** Append @p count contiguous @p bytes-sized mappings starting at
-     *  (@p vbase, @p pbase); @p vbase must be >= every earlier vlimit
-     *  (ascending build order). */
-    void
-    add(Addr vbase, Addr pbase, Addr bytes, std::uint64_t count)
+    /** Append @p run as it is; its vbase must be >= every earlier
+     *  vlimit (ascending build order). */
+    void add(const Run &run);
+
+    /** Append @p count @p size pages mapping @p vbase onward to
+     *  @p pbase onward, extending the last run when it has the same
+     *  size and is contiguous in both spaces. */
+    void addPages(Addr vbase, Addr pbase, vm::PageSize size,
+                  std::uint64_t count);
+
+    /** The run containing @p vaddr, or nullptr. The run is a copy that
+     *  the next find() or clear() overwrites. */
+    const Run *
+    find(Addr vaddr) const
     {
-        pages_ += count;
-        const Addr span = bytes * count;
-        if (!runs_.empty()) {
-            Run &back = runs_.back();
-            if (back.vlimit == vbase &&
-                back.pbase + (back.vlimit - back.vbase) == pbase) {
-                back.vlimit += span;
-                return;
-            }
-        }
-        runs_.push_back({vbase, vbase + span, pbase});
+        if (last_.contains(vaddr) || search(vaddr))
+            return &last_;
+        return nullptr;
     }
 
-    /** The run containing @p vaddr, or nullptr. */
-    const Run *find(Addr vaddr) const;
-
-    /** Number of mappings added (not runs). */
-    std::size_t pages() const { return pages_; }
+    std::size_t size() const { return runs_.size(); }
 
   private:
+    /** Binary-search the runs; on a hit, copy the run into last_. */
+    bool search(Addr vaddr) const;
+
     std::vector<Run> runs_;
-    std::size_t pages_ = 0;
+    /** The last run found (empty, so it contains nothing, after
+     *  clear()). A copy: nothing points into runs_. */
+    mutable Run last_;
 };
 
 /** A flat snapshot of one process's translations. */
@@ -101,68 +110,34 @@ class ShadowTranslator
     std::optional<vm::Translation>
     translatePage(Addr vaddr) const
     {
-        const Addr key = vm::pageBase(vaddr, vm::PageSize::Size4K);
-        // Checks repeat the same page often enough (the data working
-        // set's locality) that one always-cache-hot slot in front of
-        // the direct-mapped table pays for itself: the table spans
-        // megabytes and a random index usually misses cache.
-        if (last_.key == key) {
-            if (last_.mapped)
-                return last_.t;
+        const RunList::Run *run = pages_.find(vaddr);
+        if (!run)
             return std::nullopt;
-        }
-        const PageMemo &memo =
-            pageMemo_[(key >> 12) & (kPageMemoSlots - 1)];
-        if (memo.key == key) {
-            last_ = memo;
-            if (memo.mapped)
-                return memo.t;
-            return std::nullopt;
-        }
-        return translatePageSearch(vaddr, key);
+        const Addr vbase = vm::pageBase(vaddr, run->size);
+        return vm::Translation{vbase, run->paddr(vbase), run->size};
     }
 
     /** Golden range translation covering @p vaddr, if any. */
-    std::optional<vm::RangeTranslation> translateRange(Addr vaddr) const;
+    std::optional<vm::RangeTranslation>
+    translateRange(Addr vaddr) const
+    {
+        const RunList::Run *run = ranges_.find(vaddr);
+        if (!run)
+            return std::nullopt;
+        return *run;
+    }
 
-    std::size_t pageCount() const;
+    /** Number of leaf mappings snapshotted (not runs). */
+    std::size_t pageCount() const { return pageCount_; }
     std::size_t rangeCount() const { return ranges_.size(); }
 
   private:
     const vm::PageTable &pageTable_;
     const vm::RangeTable *rangeTable_;
 
-    /** Merged mappings, one list per page size. */
-    PageRunList pages4K_, pages2M_, pages1G_;
-    /** Sorted by vbase (ranges never overlap). */
-    std::vector<vm::RangeTranslation> ranges_;
-
-    /**
-     * Direct-mapped memo of page translations, keyed by 4 KB page base
-     * (covers every page size — any translation covers whole 4 KB
-     * pages). translatePage() is a pure function of the snapshot, so
-     * memoizing it is outcome-free; rebuild() resets the table. The
-     * table (not a single slot) matters because checks arrive with the
-     * working set's locality, not strict repetition.
-     */
-    struct PageMemo
-    {
-        Addr key = ~Addr{0};
-        vm::Translation t{};
-        bool mapped = false;
-    };
-    static constexpr std::size_t kPageMemoSlots = 65536;
-    mutable std::vector<PageMemo> pageMemo_;
-
-    /** One-entry memo in front of pageMemo_ (same lifecycle). */
-    mutable PageMemo last_;
-
-    /** Memo-miss path: binary-search the run lists and fill the slot. */
-    std::optional<vm::Translation> translatePageSearch(Addr vaddr,
-                                                       Addr key) const;
-
-    /** Last range hit (checked before the binary search). */
-    mutable std::optional<vm::RangeTranslation> lastRange_;
+    RunList pages_;  ///< merged runs of every page size
+    RunList ranges_; ///< the range table's entries, unmerged
+    std::size_t pageCount_ = 0;
 };
 
 } // namespace eat::check
