@@ -117,8 +117,9 @@ Mmu::Mmu(const MmuConfig &config, const vm::PageTable &pageTable,
     if (!cfg_.mixedTlbs && !cfg_.combinedFullyAssocL1) {
         l1Page2M_ = std::make_unique<tlb::SetAssocTlb>(
             "L1-2MB TLB", cfg_.l1Tlb2M.entries, cfg_.l1Tlb2M.ways, 21);
-        l1Page1G_ = std::make_unique<tlb::FullyAssocTlb>(
-            "L1-1GB TLB", cfg_.l1Tlb1GEntries, 30);
+        // Fully associative: one set of all its entries.
+        l1Page1G_ = std::make_unique<tlb::SetAssocTlb>(
+            "L1-1GB TLB", cfg_.l1Tlb1GEntries, cfg_.l1Tlb1GEntries, 30);
         describe({.id = ProvStruct::L1Tlb2M, .cache = l1Page2M_.get(),
                   .coeffByLogWays = resizableCoeffs(
                       cacti_, StructClass::L1Tlb2M, *l1Page2M_),

@@ -57,7 +57,6 @@
 #include "l3/cache_tlb.hh"
 #include "l3/dram_tlb.hh"
 #include "lite/lite_controller.hh"
-#include "tlb/fully_assoc_tlb.hh"
 #include "tlb/mmu_cache.hh"
 #include "tlb/page_walker.hh"
 #include "tlb/range_tlb.hh"
@@ -431,7 +430,7 @@ class Mmu
     // as the combined L1, and l2Page_ as the mixed L2.
     std::unique_ptr<tlb::SetAssocTlb> l1Page4K_;
     std::unique_ptr<tlb::SetAssocTlb> l1Page2M_;
-    std::unique_ptr<tlb::FullyAssocTlb> l1Page1G_;
+    std::unique_ptr<tlb::SetAssocTlb> l1Page1G_;
     std::unique_ptr<tlb::SetAssocTlb> l2Page_;
     std::unique_ptr<tlb::RangeTlb> l1Range_;
     std::unique_ptr<tlb::RangeTlb> l2Range_;

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "base/rng.hh"
-#include "tlb/fully_assoc_tlb.hh"
 #include "tlb/set_assoc_tlb.hh"
 
 namespace eat::tlb
@@ -289,7 +288,7 @@ TEST(SetAssocTlb, TagFlipMovesTheEntryToItsAlias)
 
 TEST(FullyAssocTlb, IsOneSetOfAllWays)
 {
-    FullyAssocTlb t("fa", 4, 30);
+    SetAssocTlb t("fa", 4, 4, 30);
     EXPECT_TRUE(t.fullyAssociative());
     EXPECT_EQ(t.sets(), 1u);
     EXPECT_EQ(t.ways(), 4u);
