@@ -422,5 +422,79 @@ TEST_F(MmuTest, LiteClustersCombinedFullyAssocL1)
     EXPECT_GT(mmu.stats().memOps, 0u);
 }
 
+TEST_F(MmuTest, ShootdownLeavesNoStaleEntryInAnyStructure)
+{
+    auto cfg = MmuConfig::make(MmuOrg::RmmLite);
+    cfg.enableL3(l3::L3Mode::Cache);
+    Mmu mmu(cfg, pt, &rt);
+    tlb::SetAssocTlb &l1 = mmu.l1Tlb4K();
+    tlb::SetAssocTlb &l2 = mmu.l2Tlb();
+    tlb::RangeTlb &l1Range = *mmu.l1RangeTlb();
+    tlb::RangeTlb &l2Range = *mmu.l2RangeTlb();
+    l3::CacheTlb &l3 = *mmu.l3CacheTlb();
+
+    constexpr tlb::Asid kAsid = 1;
+    constexpr tlb::Asid kOther = 2;
+    constexpr Addr kPages = 16;
+    const Addr vbase = 1_GiB;
+    const Addr vlimit = vbase + kPages * 4_KiB;
+    const Addr outside = vlimit + 1_MiB;
+    auto fillPage = [&](Addr vaddr, tlb::Asid asid) {
+        const auto e =
+            tlb::makePageEntry(vaddr, vaddr + 2_GiB, PageSize::Size4K, asid);
+        l1.fill(e);
+        l2.fill(e);
+        l3.fill(e);
+    };
+    auto fillRange = [&](Addr base, tlb::Asid asid) {
+        const vm::RangeTranslation r{base, base + kPages * 4_KiB,
+                                     base + 2_GiB};
+        l1Range.fill(r, asid);
+        l2Range.fill(r, asid);
+    };
+    // Every page of the region, one page outside it, and the region's
+    // first page in another address space.
+    for (Addr i = 0; i < kPages; ++i)
+        fillPage(vbase + i * 4_KiB, kAsid);
+    fillPage(outside, kAsid);
+    fillPage(vbase, kOther);
+    fillRange(vbase, kAsid);
+    fillRange(outside, kAsid);
+    fillRange(vbase, kOther);
+    ASSERT_EQ(l1.validCount(), kPages + 2);
+    ASSERT_EQ(l2.validCount(), kPages + 2);
+    ASSERT_EQ(l3.validEntries(), kPages + 2);
+    ASSERT_EQ(l1Range.validCount(), 3u);
+    ASSERT_EQ(l2Range.validCount(), 3u);
+
+    const unsigned dropped =
+        mmu.shootdownInvalidate(vbase, vlimit, kAsid, false);
+    EXPECT_EQ(dropped, 3 * kPages + 2);
+
+    for (Addr vaddr = vbase; vaddr < vlimit; vaddr += 4_KiB) {
+        EXPECT_FALSE(l1.probe(vaddr, kAsid)) << std::hex << vaddr;
+        EXPECT_FALSE(l2.probe(vaddr, kAsid)) << std::hex << vaddr;
+        EXPECT_FALSE(l1Range.probe(vaddr, kAsid)) << std::hex << vaddr;
+        EXPECT_FALSE(l2Range.probe(vaddr, kAsid)) << std::hex << vaddr;
+    }
+    // What survives in each structure: the page or range outside the
+    // region, and the other address space's entry inside it.
+    for (const tlb::Asid asid : {kAsid, kOther}) {
+        const Addr kept = asid == kAsid ? outside : vbase;
+        EXPECT_TRUE(l1.probe(kept, asid));
+        EXPECT_TRUE(l2.probe(kept, asid));
+        EXPECT_TRUE(l1Range.probe(kept, asid));
+        EXPECT_TRUE(l2Range.probe(kept, asid));
+    }
+    EXPECT_EQ(l1.validCount(), 2u);
+    EXPECT_EQ(l2.validCount(), 2u);
+    EXPECT_EQ(l1Range.validCount(), 2u);
+    EXPECT_EQ(l2Range.validCount(), 2u);
+    EXPECT_EQ(l3.validEntries(), 2u);
+    EXPECT_FALSE(l3.lookup(vbase + 4_KiB, kAsid).hit);
+    EXPECT_TRUE(l3.lookup(outside, kAsid).hit);
+    EXPECT_TRUE(l3.lookup(vbase, kOther).hit);
+}
+
 } // namespace
 } // namespace eat::core
