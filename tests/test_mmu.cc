@@ -370,6 +370,44 @@ TEST_F(MmuTest, StaticEnergyIntegratesOverInstructions)
                 kFullLeak * nsPerInterval + gatedSecond, 2.0);
 }
 
+TEST_F(MmuTest, StaticEnergyIsTheExactLeakageIntegral)
+{
+    for (Addr p = 0; p < 8; ++p)
+        pt.map(0x1000 + p * 4_KiB, 0x200000 + p * 4_KiB, PageSize::Size4K);
+    pt.map(4_MiB, 16_MiB, PageSize::Size2M);
+
+    for (const auto org : {MmuOrg::Thp, MmuOrg::TlbLite}) {
+        SCOPED_TRACE(std::string(orgName(org)));
+        auto cfg = MmuConfig::make(org);
+        cfg.lite.intervalInstructions = 1000;
+        Mmu mmu(cfg, pt, nullptr);
+
+        // Every tick adds the leakage in force before it times the
+        // gap's duration; gaps of 64 or more take the long-gap path.
+        // The L1-2MB mask lifts halfway through, and under TLB_Lite
+        // the eight hot pages let Lite disable ways.
+        double reference = 0.0;
+        for (unsigned i = 0; i < 3000; ++i) {
+            const Addr page = (i % 8) * 4_KiB;
+            mmu.access(i >= 1500 && i % 2 ? 4_MiB + page : 0x1000 + page);
+            const InstrCount n = i % 100 == 99 ? 70 : 3 + i % 2;
+            reference += mmu.energyReport().leakagePower *
+                         (static_cast<double>(n) / cfg.clockGhz);
+            mmu.tick(n);
+        }
+        ASSERT_TRUE(mmu.l1Tlb2MEnabled());
+
+        const auto r = mmu.energyReport();
+        EXPECT_EQ(r.staticEnergyGated, reference);
+        if (org == MmuOrg::Thp) {
+            EXPECT_EQ(r.staticEnergyFull, reference);
+        } else {
+            EXPECT_GT(mmu.lite()->stats().wayDisableEvents, 0u);
+            EXPECT_LT(r.staticEnergyGated, r.staticEnergyFull);
+        }
+    }
+}
+
 TEST_F(MmuTest, CombinedFullyAssocL1ServesAllPageSizes)
 {
     pt.map(0x1000, 0x200000, PageSize::Size4K);
