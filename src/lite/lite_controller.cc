@@ -33,10 +33,12 @@ LiteController::onTlbHit(std::size_t tlbIndex, unsigned distance,
     eat_assert(tlbIndex < tlbs_.size(), "bad TLB index");
     // Redundant hits (the range TLB also covered the lookup) carry no
     // utility: losing them to way-disabling creates no additional miss.
-    if (!soleProvider)
+    // A way count that is no power of two (a spurious-enable fault) has
+    // no band to record into; the interval end gives those ways back.
+    const unsigned active = tlbs_[tlbIndex]->activeWays();
+    if (!soleProvider || !isPowerOfTwo(active))
         return;
-    profilers_[tlbIndex].recordHit(distance,
-                                   tlbs_[tlbIndex]->activeWays());
+    profilers_[tlbIndex].recordHit(distance, active);
 }
 
 bool
@@ -111,17 +113,22 @@ LiteController::traceWayCounter(std::size_t i)
 }
 
 void
+LiteController::activateWays(std::size_t i)
+{
+    tlb::SetAssocTlb *t = tlbs_[i];
+    if (t->activeWays() != t->ways()) {
+        const unsigned from = t->activeWays();
+        t->setActiveWays(t->ways());
+        traceWayCounter(i);
+        provResize(i, from, t->ways());
+    }
+}
+
+void
 LiteController::activateAllWays()
 {
-    for (std::size_t i = 0; i < tlbs_.size(); ++i) {
-        tlb::SetAssocTlb *t = tlbs_[i];
-        if (t->activeWays() != t->ways()) {
-            const unsigned from = t->activeWays();
-            t->setActiveWays(t->ways());
-            traceWayCounter(i);
-            provResize(i, from, t->ways());
-        }
-    }
+    for (std::size_t i = 0; i < tlbs_.size(); ++i)
+        activateWays(i);
 }
 
 void
@@ -149,6 +156,12 @@ LiteController::onIntervalEnd(std::uint64_t instructions)
         for (std::size_t i = 0; i < tlbs_.size(); ++i) {
             tlb::SetAssocTlb &t = *tlbs_[i];
             const unsigned active = t.activeWays();
+            if (!isPowerOfTwo(active)) {
+                // A spurious-enable fault left a way count Lite never
+                // sets and could not profile: restore every way.
+                activateWays(i);
+                continue;
+            }
             unsigned best = active;
             for (unsigned target = active / 2; target >= params_.minWays;
                  target /= 2) {

@@ -159,6 +159,8 @@ class LiteController
     /** potential <= threshold(reference)? */
     bool withinThreshold(double potentialMpki, double referenceMpki) const;
 
+    /** Give TLB @p i all its ways back (traced, with provenance). */
+    void activateWays(std::size_t i);
     void activateAllWays();
 
     /** Emit an active_ways counter sample for TLB @p i (if tracing). */

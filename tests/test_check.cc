@@ -356,6 +356,32 @@ TEST_F(CheckerTest, CatchesSpuriousWayEnable)
     EXPECT_EQ(checker.stats().wayMaskViolations, 1u);
 }
 
+TEST_F(CheckerTest, LiteGivesASpuriouslyEnabledTlbItsWaysBack)
+{
+    pt.map(0x1000, 0x200000, PageSize::Size4K);
+    auto cfg = core::MmuConfig::make(core::MmuOrg::TlbLite);
+    cfg.lite.fullActivationProbability = 0.0;
+    core::Mmu mmu(cfg, pt, nullptr);
+    ShadowChecker checker(CheckLevel::Full, pt, nullptr);
+    mmu.setChecker(&checker);
+
+    mmu.access(0x1234);
+    mmu.tick(cfg.lite.intervalInstructions); // Lite shrinks to 1 way
+    auto &tlb = mmu.l1Tlb4K();
+    ASSERT_EQ(tlb.activeWays(), 1u);
+
+    // The glitch a spurious-enable fault makes: a way count Lite's
+    // profiler cannot measure. Hits go on, and the audit reports it.
+    tlb.forceActiveWays(3);
+    for (int i = 0; i < 128; ++i)
+        mmu.access(0x1234 + i * 8);
+    EXPECT_GT(checker.stats().wayMaskViolations, 0u);
+
+    mmu.tick(cfg.lite.intervalInstructions);
+    EXPECT_EQ(tlb.activeWays(), tlb.ways());
+    EXPECT_EQ(mmu.lite()->stats().degradationActivations, 0u);
+}
+
 TEST_F(CheckerTest, PaddrLevelSkipsWayMaskAudits)
 {
     pt.map(0x1000, 0x200000, PageSize::Size4K);
