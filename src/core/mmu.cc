@@ -260,6 +260,7 @@ Mmu::Mmu(const MmuConfig &config, const vm::PageTable &pageTable,
     const double h = cfg_.walkL1CacheHitRatio;
     eat_assert(h >= 0.0 && h <= 1.0, "walkL1CacheHitRatio out of [0,1]");
     walkRefEnergy_ = h * l1c.read + (1.0 - h) * cacti_.l2CacheReadEnergy();
+    refreshLeakage();
 }
 
 [[gnu::always_inline]] inline void
@@ -294,7 +295,7 @@ Mmu::fill(Structure &s, unsigned coeff, unsigned psShift, Cache &cache,
 {
     if (!s.enabled) { // the static mask lifts on the first fill
         s.enabled = true;
-        leakCache_.valid = false;
+        refreshLeakage();
     }
     chargeWrite(s, coeff, psShift);
     const bool evicted = cache.fill(payload...);
@@ -303,20 +304,19 @@ Mmu::fill(Structure &s, unsigned coeff, unsigned psShift, Cache &cache,
 }
 
 void
-Mmu::chargeWalkMemory(unsigned refs, bool rangeWalk, unsigned leafLevel)
+Mmu::chargeWalkRefs(Structure &s, unsigned refs, unsigned leafLevel)
 {
-    Structure &s =
-        at(rangeWalk ? ProvStruct::RangeWalkMem : ProvStruct::WalkMem);
     // One event per reference, not refs * energy: repeated addition of
     // a double is not the same as multiplication, and the provenance
     // totals must stay bit-identical to the meter.
     for (unsigned i = 0; i < refs; ++i) {
         s.meter.chargeRead(walkRefEnergy_);
         if (EAT_PROV_ENABLED && prov_) {
-            // The walk fetches top-down; reference i touches level
-            // leafLevel + refs - 1 - i (range walks report level 0).
-            const unsigned level =
-                rangeWalk ? 0 : leafLevel + refs - 1 - i;
+            // Reference i of a page walk touches level
+            // leafLevel + refs - 1 - i.
+            const unsigned level = s.id == ProvStruct::RangeWalkMem
+                                       ? 0
+                                       : leafLevel + refs - 1 - i;
             prov_->emit({stats_.instructions, 0, walkRefEnergy_,
                          obs::ProvKind::WalkRef, s.id, coreId_, asid_, 0,
                          false, level, 0});
@@ -333,6 +333,7 @@ Mmu::chargeNestedWalk(const vm::NestedWalkResult &walk)
         cfg_.hostWalkCyclesPerRef * Cycles(walk.hostMemRefs);
     Structure &pwc = at(ProvStruct::HostPwc);
     Structure &mem = at(ProvStruct::HostWalkMem);
+    const unsigned leaf = tlb::MmuCache::leafLevel(hostTable_->pageSize());
     for (unsigned w = 0; w < walk.hostWalkCount; ++w) {
         const auto &host = walk.hostWalks[w];
         // One lumped host-PWC probe per host walk (reads == hostWalks,
@@ -341,19 +342,7 @@ Mmu::chargeNestedWalk(const vm::NestedWalkResult &walk)
         chargeRead(pwc, 0, host.pwcHit);
         for (unsigned f = 0; f < host.pwcFills; ++f)
             chargeWrite(pwc);
-        // One event per host-table reference; repeated addition keeps
-        // the provenance totals bit-identical to the meter.
-        const unsigned leaf =
-            tlb::MmuCache::leafLevel(hostTable_->pageSize());
-        for (unsigned i = 0; i < host.memRefs; ++i) {
-            mem.meter.chargeRead(walkRefEnergy_);
-            if (EAT_PROV_ENABLED && prov_) {
-                const unsigned level = leaf + host.memRefs - 1 - i;
-                prov_->emit({stats_.instructions, 0, walkRefEnergy_,
-                             obs::ProvKind::WalkRef, mem.id, coreId_,
-                             asid_, 0, false, level, 0});
-            }
-        }
+        chargeWalkRefs(mem, host.memRefs, leaf);
     }
 }
 
@@ -632,8 +621,8 @@ Mmu::walkStage(Addr vaddr)
         chargeWrite(pml4);
 
     stats_.walkMemRefs += walk.cache.memRefs;
-    chargeWalkMemory(walk.cache.memRefs, false,
-                     tlb::MmuCache::leafLevel(walk.translation.size));
+    chargeWalkRefs(at(ProvStruct::WalkMem), walk.cache.memRefs,
+                   tlb::MmuCache::leafLevel(walk.translation.size));
     if (nested.hostWalkCount > 0)
         chargeNestedWalk(nested);
 
@@ -654,7 +643,7 @@ Mmu::walkStage(Addr vaddr)
         const auto rw = rangeWalker_->walk(vaddr);
         ++stats_.rangeWalks;
         stats_.rangeWalkMemRefs += rw.memRefs;
-        chargeWalkMemory(rw.memRefs, true);
+        chargeWalkRefs(at(ProvStruct::RangeWalkMem), rw.memRefs, 0);
         if (rw.range && l2Range_)
             fill(at(ProvStruct::L2Range), 0, 0, *l2Range_, *rw.range, asid_);
     }
@@ -804,47 +793,14 @@ Mmu::leakagePower(bool gated) const
 }
 
 void
-Mmu::tickSlow(InstrCount n)
+Mmu::refreshLeakage()
 {
-    stats_.instructions += n;
-
-    // Static energy (paper §6.2): with a base CPI of 1, n instructions
-    // take n / f nanoseconds, and pJ = mW * ns. The leakage powers are
-    // memoized on their only inputs (way masks and enable masks); the
-    // mutation sites clear leakCache_.valid, and the recompute below
-    // doubles as a cross-check when only a no-op restamp happened. The
-    // cached doubles are exactly leakagePower()'s returns, so the
-    // integrals are unchanged.
-    decltype(LeakCache::key) key;
-    for (unsigned i = 0; i < structs_.size(); ++i) {
-        const Structure &s = structs_[i];
-        key[i] = static_cast<std::uint8_t>(s.enabled ? 1 + s.coeffIndex()
-                                                     : 0);
-    }
-    if (!leakCache_.valid || leakCache_.key != key) {
-        leakCache_ = {true, key, leakagePower(true), leakagePower(false)};
-        tickDeltas_ = {};
-    }
-    if (n < kTickDeltaSlots) {
-        TickDelta &d = tickDeltas_[n];
-        if (!d.valid) {
-            const double ns = static_cast<double>(n) / cfg_.clockGhz;
-            d = {true, leakCache_.gated * ns, leakCache_.full * ns};
-        }
-        staticGatedPj_ += d.gatedPj;
-        staticFullPj_ += d.fullPj;
-    } else {
+    leakGated_ = leakagePower(true);
+    leakFull_ = leakagePower(false);
+    for (InstrCount n = 0; n < kTickAddends; ++n) {
         const double ns = static_cast<double>(n) / cfg_.clockGhz;
-        staticGatedPj_ += leakCache_.gated * ns;
-        staticFullPj_ += leakCache_.full * ns;
+        tickAddends_[n] = {leakGated_ * ns, leakFull_ * ns};
     }
-
-    // The interval clock drives Lite decisions and telemetry records;
-    // it runs only when at least one consumer is attached.
-    if (!lite_ && !telemetry_)
-        return;
-    instrTowardInterval_ += n;
-    tickIntervals();
 }
 
 void
@@ -854,9 +810,7 @@ Mmu::tickIntervals()
     while (instrTowardInterval_ >= interval) {
         if (lite_) {
             lite_->onIntervalEnd(interval);
-            // Lite may have resized: the leakage coefficients (and the
-            // per-gap deltas derived from them) must be recomputed.
-            leakCache_.valid = false;
+            refreshLeakage(); // Lite may have resized
         }
         instrTowardInterval_ -= interval;
         // Emit after Lite's decision so the way-mask reflects it.
@@ -1051,23 +1005,23 @@ Mmu::emitIntervalRecord(InstrCount intervalInstructions)
     obs::IntervalRecord rec;
     rec.core = coreId_;
     rec.interval = intervalIndex_++;
-    rec.startInstr = lastInterval_.instructions;
+    rec.startInstr = rec.interval * intervalInstructions;
     rec.instructions = intervalInstructions;
 
     // Interval deltas. A tick retiring several intervals at once books
     // all its events into the first one it closes; the rest read zero.
-    rec.memOps = stats_.memOps - lastInterval_.memOps;
-    rec.l1Hits = stats_.l1Hits - lastInterval_.l1Hits;
-    rec.l1Misses = stats_.l1Misses - lastInterval_.l1Misses;
-    rec.l2Hits = stats_.l2Hits - lastInterval_.l2Hits;
-    rec.l2Misses = stats_.l2Misses - lastInterval_.l2Misses;
-    rec.hostWalkRefs = stats_.hostWalkMemRefs - lastInterval_.hostWalkRefs;
-    rec.l3Probes = stats_.l3Probes - lastInterval_.l3Probes;
-    rec.l3Hits = stats_.l3Hits - lastInterval_.l3Hits;
-    const Cycles missCycles = stats_.tlbMissCycles();
-    rec.missCycles = missCycles - lastInterval_.missCycles;
+    const MmuStats &last = lastStats_;
+    rec.memOps = stats_.memOps - last.memOps;
+    rec.l1Hits = stats_.l1Hits - last.l1Hits;
+    rec.l1Misses = stats_.l1Misses - last.l1Misses;
+    rec.l2Hits = stats_.l2Hits - last.l2Hits;
+    rec.l2Misses = stats_.l2Misses - last.l2Misses;
+    rec.hostWalkRefs = stats_.hostWalkMemRefs - last.hostWalkMemRefs;
+    rec.l3Probes = stats_.l3Probes - last.l3Probes;
+    rec.l3Hits = stats_.l3Hits - last.l3Hits;
+    rec.missCycles = stats_.tlbMissCycles() - last.tlbMissCycles();
     const PicoJoules dynamicPj = dynamicEnergyTotal();
-    rec.dynamicPj = dynamicPj - lastInterval_.dynamicPj;
+    rec.dynamicPj = dynamicPj - lastDynamicPj_;
 
     const double kilo = static_cast<double>(intervalInstructions) / 1000.0;
     rec.l1Mpki = kilo > 0.0 ? static_cast<double>(rec.l1Misses) / kilo : 0.0;
@@ -1087,30 +1041,18 @@ Mmu::emitIntervalRecord(InstrCount intervalInstructions)
             rec.wayMask.emplace_back(tlb->name(), tlb->activeWays());
     }
 
-    std::uint64_t mismatches = 0;
     if (checker_) {
-        mismatches = checker_->stats().mismatches();
-        rec.checkMismatches = mismatches - lastInterval_.checkMismatches;
+        const std::uint64_t mismatches = checker_->stats().mismatches();
+        rec.checkMismatches = mismatches - lastMismatches_;
+        lastMismatches_ = mismatches;
     }
-    std::uint64_t injected = 0;
     if (injectStats_) {
-        injected = injectStats_->injected();
-        rec.faultsInjected = injected - lastInterval_.faultsInjected;
+        const std::uint64_t injected = injectStats_->injected();
+        rec.faultsInjected = injected - lastInjected_;
+        lastInjected_ = injected;
     }
-
-    lastInterval_.instructions += intervalInstructions;
-    lastInterval_.memOps = stats_.memOps;
-    lastInterval_.l1Hits = stats_.l1Hits;
-    lastInterval_.l1Misses = stats_.l1Misses;
-    lastInterval_.l2Hits = stats_.l2Hits;
-    lastInterval_.l2Misses = stats_.l2Misses;
-    lastInterval_.hostWalkRefs = stats_.hostWalkMemRefs;
-    lastInterval_.l3Probes = stats_.l3Probes;
-    lastInterval_.l3Hits = stats_.l3Hits;
-    lastInterval_.missCycles = missCycles;
-    lastInterval_.dynamicPj = dynamicPj;
-    lastInterval_.checkMismatches = mismatches;
-    lastInterval_.faultsInjected = injected;
+    lastStats_ = stats_;
+    lastDynamicPj_ = dynamicPj;
 
     // The interval marker carries the same delta telemetry writes, so
     // eatreport can reconcile the two streams row by row.

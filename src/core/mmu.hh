@@ -108,30 +108,31 @@ class Mmu
     void access(Addr vaddr);
 
     /**
-     * Retire @p n instructions (drives Lite's interval clock). The
-     * in-class body is the per-op fast path: a memoized static-energy
-     * charge plus an interval-boundary check. Anything that changes the
-     * leakage inputs (a fill's enable flip, a Lite resize) clears
-     * leakCache_.valid, steering the next tick through tickSlow()'s
-     * recompute — so the fast path never charges stale coefficients.
+     * Retire @p n instructions: integrate the static energy (paper
+     * §6.2) and run the interval clock that drives Lite and telemetry.
+     * With a base CPI of 1, n instructions take n / f nanoseconds, and
+     * pJ = mW * ns. A gap below kTickAddends adds the product
+     * refreshLeakage() built for it; a longer gap computes the same
+     * expression.
      */
     void
     tick(InstrCount n)
     {
-        if (leakCache_.valid && n < kTickDeltaSlots &&
-            tickDeltas_[n].valid) {
-            stats_.instructions += n;
-            staticGatedPj_ += tickDeltas_[n].gatedPj;
-            staticFullPj_ += tickDeltas_[n].fullPj;
-            if (!lite_ && !telemetry_)
-                return;
-            instrTowardInterval_ += n;
-            if (instrTowardInterval_ < cfg_.lite.intervalInstructions)
-                return;
-            tickIntervals();
-            return;
+        stats_.instructions += n;
+        if (n < kTickAddends) {
+            staticGatedPj_ += tickAddends_[n].gated;
+            staticFullPj_ += tickAddends_[n].full;
+        } else {
+            const double ns = static_cast<double>(n) / cfg_.clockGhz;
+            staticGatedPj_ += leakGated_ * ns;
+            staticFullPj_ += leakFull_ * ns;
         }
-        tickSlow(n);
+        // The interval clock runs only when a consumer is attached.
+        if (!lite_ && !telemetry_)
+            return;
+        instrTowardInterval_ += n;
+        if (instrTowardInterval_ >= cfg_.lite.intervalInstructions)
+            tickIntervals();
     }
 
     /**
@@ -379,8 +380,14 @@ class Mmu
     void chargeRead(Structure &s, unsigned coeff = 0, bool hit = false);
     void chargeWrite(Structure &s, unsigned coeff = 0,
                      unsigned psShift = 0);
-    void chargeWalkMemory(unsigned refs, bool rangeWalk,
-                          unsigned leafLevel = 0);
+
+    /**
+     * Charge @p refs memory references of one walk to @p s, a
+     * walk-reference meter (guest, range or host walks), with one
+     * provenance event each. A page walk fetches top-down from level
+     * @p leafLevel + refs - 1; range walks report level 0.
+     */
+    void chargeWalkRefs(Structure &s, unsigned refs, unsigned leafLevel);
 
     /** Charge the host dimension of one nested walk: host-PWC probe
      *  and fills per host walk, plus every host-walk memory reference
@@ -470,71 +477,45 @@ class Mmu
     obs::ProvenanceSink *prov_ = nullptr;
     const check::InjectStats *injectStats_ = nullptr;
 
-    /** Cumulative values at the last closed telemetry interval. */
-    struct IntervalSnapshot
-    {
-        InstrCount instructions = 0;
-        std::uint64_t memOps = 0;
-        std::uint64_t l1Hits = 0;
-        std::uint64_t l1Misses = 0;
-        std::uint64_t l2Hits = 0;
-        std::uint64_t l2Misses = 0;
-        std::uint64_t hostWalkRefs = 0;
-        std::uint64_t l3Probes = 0;
-        std::uint64_t l3Hits = 0;
-        Cycles missCycles = 0;
-        PicoJoules dynamicPj = 0.0;
-        std::uint64_t checkMismatches = 0;
-        std::uint64_t faultsInjected = 0;
-    };
-    IntervalSnapshot lastInterval_;
+    /** stats_ at the last closed telemetry interval, and the totals
+     *  kept outside it: each record reports the deltas since. */
+    MmuStats lastStats_;
+    PicoJoules lastDynamicPj_ = 0.0;
+    std::uint64_t lastMismatches_ = 0;
+    std::uint64_t lastInjected_ = 0;
     std::uint64_t intervalIndex_ = 0;
 
     // Static (leakage) energy integrals (paper §6.2).
     PicoJoules staticGatedPj_ = 0.0;
     PicoJoules staticFullPj_ = 0.0;
 
-    /**
-     * Memoized leakagePower() results: the inputs (way masks and
-     * enable masks) change only at interval boundaries and fills, but
-     * tick() integrates leakage on every operation batch. The cached
-     * doubles are the exact values leakagePower() returned, so the
-     * integrals stay bit-identical.
-     */
-    struct LeakCache
+    /** leakagePower(true) and leakagePower(false) as of the last
+     *  refreshLeakage(). */
+    MilliWatts leakGated_ = 0.0;
+    MilliWatts leakFull_ = 0.0;
+
+    /** tick(n)'s addends for each gap n below kTickAddends: exactly the
+     *  doubles `leakage * (n / f)` a longer gap computes. */
+    struct TickAddend
     {
-        bool valid = false;
-        /** Per structure: 0 when masked, else 1 + its coefficient
-         *  index — every input leakagePower() reads. */
-        std::array<std::uint8_t, obs::kProvMeteredStructs> key{};
-        MilliWatts gated = 0.0;
-        MilliWatts full = 0.0;
+        PicoJoules gated = 0.0;
+        PicoJoules full = 0.0;
     };
-    LeakCache leakCache_;
+    static constexpr InstrCount kTickAddends = 64;
+    std::array<TickAddend, kTickAddends> tickAddends_{};
 
     /**
-     * Per-gap static-energy deltas derived from leakCache_: slot n
-     * holds exactly the doubles `leakCache_.gated * (n / f)` and
-     * `leakCache_.full * (n / f)` that tick(n) would compute, so the
-     * common small gaps skip the divide and multiplies while the
-     * accumulators see bit-identical addends. Cleared whenever
-     * leakCache_ refreshes.
+     * Recompute the leakage and the tick addends. leakagePower() reads
+     * only each structure's enable flag and way count, so three places
+     * call this: the constructor, fill()'s static-mask lift, and
+     * tickIntervals() after Lite's decision. A spurious-enable fault
+     * changes a way count without the Mmu knowing; its leakage takes
+     * effect at the next refresh.
      */
-    struct TickDelta
-    {
-        bool valid = false;
-        double gatedPj = 0.0;
-        double fullPj = 0.0;
-    };
-    static constexpr std::size_t kTickDeltaSlots = 64;
-    std::array<TickDelta, kTickDeltaSlots> tickDeltas_{};
+    void refreshLeakage();
 
-    /** tick() off the fast path: recompute the leakage inputs, refresh
-     *  leakCache_/tickDeltas_, charge, and run the interval clock. */
-    void tickSlow(InstrCount n);
-
-    /** Drain instrTowardInterval_: Lite decisions, generation bumps,
-     *  telemetry records — one round per whole interval elapsed. */
+    /** Drain instrTowardInterval_, one round per whole interval
+     *  elapsed: Lite's decision, then the telemetry record. */
     void tickIntervals();
 
     energy::CactiLite cacti_;
