@@ -7,17 +7,6 @@
 namespace eat::vm
 {
 
-std::string_view
-remapKindName(RemapKind kind)
-{
-    switch (kind) {
-      case RemapKind::Demotion: return "demotion";
-      case RemapKind::Promotion: return "promotion";
-      case RemapKind::Compaction: return "compaction";
-    }
-    return "?";
-}
-
 MemoryManager::MemoryManager(const OsPolicy &policy, std::uint64_t physBytes,
                              std::uint64_t seed)
     : policy_(policy), phys_(physBytes), rng_(seed)
@@ -231,8 +220,16 @@ MemoryManager::promoteRegion(const Region &region)
 bool
 MemoryManager::compactRegion(const Region &region)
 {
-    // Snapshot the region's leaf mappings first: compaction preserves
-    // page sizes, so the new block must be carved identically.
+    // Allocate the target before freeing the source so first-fit cannot
+    // hand the same frames back; failing here leaves the region
+    // untouched (the OS abandons the compaction run) and costs no walk
+    // of its pages.
+    const auto newBase = phys_.allocContiguous(region.bytes, 2_MiB);
+    if (!newBase)
+        return false;
+
+    // Snapshot the region's leaf mappings: compaction preserves page
+    // sizes, so the new block must be carved identically.
     struct Leaf
     {
         Addr vbase;
@@ -246,13 +243,6 @@ MemoryManager::compactRegion(const Region &region)
         leaves.push_back({t->vbase, t->pbase, t->size});
         v = t->vbase + pageBytes(t->size);
     }
-
-    // Allocate the target before freeing the source so first-fit cannot
-    // hand the same frames back; failing here leaves the region
-    // untouched (the OS abandons the compaction run).
-    const auto newBase = phys_.allocContiguous(region.bytes, 2_MiB);
-    if (!newBase)
-        return false;
 
     for (const auto &leaf : leaves) {
         pageTable_.unmap(leaf.vbase, leaf.size);
