@@ -14,12 +14,6 @@ namespace eat
 /** A virtual or physical byte address. */
 using Addr = std::uint64_t;
 
-/** A virtual page number at 4 KB granularity. */
-using Vpn = std::uint64_t;
-
-/** A physical frame number at 4 KB granularity. */
-using Pfn = std::uint64_t;
-
 /** A count of processor cycles. */
 using Cycles = std::uint64_t;
 

@@ -98,8 +98,6 @@ class ShadowChecker
     /** Re-snapshot one context's tables (after a remap). */
     void rebuildContext(tlb::Asid asid);
 
-    tlb::Asid activeAsid() const { return activeAsid_; }
-
     /**
      * Prefix mismatch messages with @p label (e.g. "core2: ") so
      * multicore logs attribute each disagreement to the core that

@@ -263,9 +263,7 @@ class Mmu
     tlb::RangeTlb *l2RangeTlb() { return l2Range_.get(); }
     tlb::MmuCache &mmuCache() { return mmuCache_; }
     tlb::MmuCache *hostPwc() { return hostPwc_.get(); }
-    const vm::HostTable *hostTable() const { return hostTable_.get(); }
     l3::CacheTlb *l3CacheTlb() { return l3Cache_.get(); }
-    l3::DramTlb *l3DramTlb() { return l3Dram_.get(); }
 
     bool
     l1Tlb2MEnabled() const

@@ -32,10 +32,6 @@ DramTlb::probe(Addr vaddr, tlb::Asid asid)
     const unsigned set = setOf(vaddr);
     TagSlot &slot = slotOf(set);
     r.tagCacheHit = slot.gen == generation_ && slot.set == set;
-    if (r.tagCacheHit)
-        ++tagHits_;
-    else
-        ++tagMisses_;
 
     if (r.tagCacheHit && !storage_.probe(vaddr, asid)) {
         // The cached tags prove the translation absent: a known miss

@@ -78,8 +78,6 @@ class DramTlb
     std::uint64_t hits() const { return storage_.hits(); }
     std::uint64_t misses() const { return storage_.misses(); }
     std::uint64_t fills() const { return storage_.fills(); }
-    std::uint64_t tagHits() const { return tagHits_; }
-    std::uint64_t tagMisses() const { return tagMisses_; }
     std::uint64_t dramAccesses() const { return dramAccesses_; }
 
   private:
@@ -113,8 +111,6 @@ class DramTlb
     energy::EnergyCoefficients tagCoeff_{};
     energy::EnergyCoefficients dramCoeff_{};
 
-    std::uint64_t tagHits_ = 0;
-    std::uint64_t tagMisses_ = 0;
     std::uint64_t dramAccesses_ = 0;
 };
 

@@ -959,35 +959,4 @@ mcPerCoreTable(const McResult &result)
     return table;
 }
 
-stats::TextTable
-mcOrgTable(const std::vector<McResult> &runs)
-{
-    eat_assert(!runs.empty(), "no runs to tabulate");
-    stats::TextTable table({"mix: " + runs[0].mixName, "pJ/KI",
-                            "norm-energy", "miss-cyc/KI", "norm-cycles",
-                            "L1 MPKI", "ctx-switch", "shootdowns"});
-    const double baseEnergy = runs[0].energyPerKiloInstr();
-    const double baseCycles = runs[0].missCyclesPerKiloInstr();
-    for (const auto &run : runs) {
-        eat_assert(!run.perCore.empty(), "run without cores");
-        std::uint64_t ctx = 0;
-        for (const auto &r : run.perCore)
-            ctx += r.stats.contextSwitches;
-        const double energy = run.energyPerKiloInstr();
-        const double cycles = run.missCyclesPerKiloInstr();
-        table.addRow(
-            {std::string(core::orgName(run.perCore[0].org)),
-             stats::TextTable::num(energy, 1),
-             stats::TextTable::num(
-                 baseEnergy > 0.0 ? energy / baseEnergy : 0.0, 3),
-             stats::TextTable::num(cycles, 2),
-             stats::TextTable::num(
-                 baseCycles > 0.0 ? cycles / baseCycles : 0.0, 3),
-             stats::TextTable::num(run.aggregateMpki(), 3),
-             std::to_string(ctx),
-             std::to_string(run.shootdownEvents)});
-    }
-    return table;
-}
-
 } // namespace eat::mc

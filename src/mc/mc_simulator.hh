@@ -207,12 +207,6 @@ makeAddressSpace(const sim::SimConfig &base,
 /** Per-core summary table (energy, MPKI, switches, shootdowns). */
 stats::TextTable mcPerCoreTable(const McResult &result);
 
-/**
- * Figure-10-style comparison across organizations of one mix: one row
- * per run, energy and miss-cycles normalized to the first run.
- */
-stats::TextTable mcOrgTable(const std::vector<McResult> &runs);
-
 } // namespace eat::mc
 
 #endif // EAT_MC_MC_SIMULATOR_HH

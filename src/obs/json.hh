@@ -126,7 +126,6 @@ struct JsonValue
     /** Insertion-ordered members. */
     std::vector<std::pair<std::string, JsonValue>> object;
 
-    bool isNull() const { return kind == Kind::Null; }
     bool isBool() const { return kind == Kind::Bool; }
     bool isNumber() const { return kind == Kind::Number; }
     bool isString() const { return kind == Kind::String; }

@@ -1,10 +1,6 @@
 /**
  * @file
- * Simple event counters with interval snapshot support.
- *
- * The simulator accumulates most of its raw statistics in Counter objects.
- * Lite's interval logic needs "events since the last interval boundary",
- * which SnapshotCounter provides without a second accumulator.
+ * The MPKI helper shared by Lite, the MMU statistics and the reports.
  */
 
 #ifndef EAT_STATS_COUNTER_HH
@@ -14,53 +10,6 @@
 
 namespace eat::stats
 {
-
-/** A monotonically increasing event counter. */
-class Counter
-{
-  public:
-    void operator++() { ++value_; }
-    void operator++(int) { ++value_; }
-    void add(std::uint64_t n) { value_ += n; }
-    void reset() { value_ = 0; }
-
-    std::uint64_t value() const { return value_; }
-    operator std::uint64_t() const { return value_; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
-/**
- * A counter that can report the delta since its last snapshot while the
- * lifetime total keeps accumulating.
- */
-class SnapshotCounter
-{
-  public:
-    void operator++() { ++value_; }
-    void operator++(int) { ++value_; }
-    void add(std::uint64_t n) { value_ += n; }
-
-    /** Lifetime total. */
-    std::uint64_t value() const { return value_; }
-
-    /** Events since the previous snapshot() call. */
-    std::uint64_t sinceSnapshot() const { return value_ - snapshot_; }
-
-    /** Mark an interval boundary and return the closed interval's delta. */
-    std::uint64_t
-    snapshot()
-    {
-        const std::uint64_t delta = value_ - snapshot_;
-        snapshot_ = value_;
-        return delta;
-    }
-
-  private:
-    std::uint64_t value_ = 0;
-    std::uint64_t snapshot_ = 0;
-};
 
 /** Misses per kilo-instruction given raw miss and instruction counts. */
 inline double

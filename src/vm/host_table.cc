@@ -42,21 +42,4 @@ hostPageSizeFromName(std::string_view name)
                          "' (expected 4k, 2m, or 1g)");
 }
 
-std::string_view
-hostModeName(HostMode mode)
-{
-    return mode == HostMode::Identity ? "identity" : "paged";
-}
-
-std::string_view
-hostPageSizeName(PageSize size)
-{
-    switch (size) {
-      case PageSize::Size4K: return "4k";
-      case PageSize::Size2M: return "2m";
-      case PageSize::Size1G: return "1g";
-    }
-    return "4k";
-}
-
 } // namespace eat::vm

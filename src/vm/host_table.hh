@@ -90,10 +90,6 @@ Result<HostMode> hostModeFromName(std::string_view name);
 /** Parse "4k" / "2m" / "1g" (the `--host-pages=` argument). */
 Result<PageSize> hostPageSizeFromName(std::string_view name);
 
-/** Canonical printable names. */
-std::string_view hostModeName(HostMode mode);
-std::string_view hostPageSizeName(PageSize size);
-
 } // namespace eat::vm
 
 #endif // EAT_VM_HOST_TABLE_HH

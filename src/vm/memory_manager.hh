@@ -73,8 +73,6 @@ enum class RemapKind
     Compaction, ///< region migrated to fresh contiguous frames
 };
 
-std::string_view remapKindName(RemapKind kind);
-
 /**
  * One page-table rewrite affecting [vbase, vlimit). Cached translations
  * of the region — on every core — are stale after this; multicore

@@ -204,19 +204,6 @@ PageTable::pageCount(PageSize size) const
 }
 
 void
-PageTable::forEachLeaf(
-    const std::function<void(const Translation &)> &fn) const
-{
-    forEachLeafRun([&fn](const Translation &first, std::uint64_t count) {
-        const Addr bytes = pageBytes(first.size);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            fn(Translation{first.vbase + i * bytes,
-                           first.pbase + i * bytes, first.size});
-        }
-    });
-}
-
-void
 PageTable::forEachLeafRun(
     const std::function<void(const Translation &, std::uint64_t)> &fn) const
 {

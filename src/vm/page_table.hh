@@ -84,18 +84,14 @@ class PageTable
     std::uint64_t pageCount(PageSize size) const;
 
     /**
-     * Visit every installed leaf mapping in ascending vbase order.
-     * Lets independent models (the golden shadow translator) snapshot
+     * Visit every installed leaf mapping in ascending vbase order, so
+     * independent models (the golden shadow translator) can snapshot
      * the full mapping without walking the radix tree per lookup.
-     */
-    void forEachLeaf(const std::function<void(const Translation &)> &fn) const;
-
-    /**
-     * Like forEachLeaf, but consecutive same-node leaves of one size
-     * that are contiguous in both spaces arrive as a single callback:
-     * @p fn receives the first mapping of the run and the run's page
-     * count. A snapshot of a bulk-mapped region costs one call per
-     * page-table node instead of one per page.
+     * Consecutive same-node leaves of one size that are contiguous in
+     * both spaces arrive as a single callback: @p fn receives the first
+     * mapping of the run and the run's page count. A snapshot of a
+     * bulk-mapped region costs one call per page-table node instead of
+     * one per page.
      */
     void forEachLeafRun(
         const std::function<void(const Translation &, std::uint64_t)> &fn)

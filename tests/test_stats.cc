@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the statistics substrate: counters, histograms, tables,
- * CSV emission, and interval timelines.
+ * Tests for the statistics substrate: MPKI, histograms, tables, CSV
+ * emission, and interval timelines.
  */
 
 #include <gtest/gtest.h>
@@ -18,31 +18,6 @@ namespace eat::stats
 {
 namespace
 {
-
-TEST(Counter, StartsAtZeroAndIncrements)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c++;
-    c.add(3);
-    EXPECT_EQ(c.value(), 5u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(SnapshotCounter, DeltaSinceSnapshot)
-{
-    SnapshotCounter c;
-    c.add(10);
-    EXPECT_EQ(c.sinceSnapshot(), 10u);
-    EXPECT_EQ(c.snapshot(), 10u);
-    EXPECT_EQ(c.sinceSnapshot(), 0u);
-    c.add(5);
-    EXPECT_EQ(c.sinceSnapshot(), 5u);
-    EXPECT_EQ(c.value(), 15u);
-    EXPECT_EQ(c.snapshot(), 5u);
-}
 
 TEST(Mpki, Computation)
 {
