@@ -312,8 +312,8 @@ Mmu::chargeWalkRefs(Structure &s, unsigned refs, unsigned leafLevel)
     for (unsigned i = 0; i < refs; ++i) {
         s.meter.chargeRead(walkRefEnergy_);
         if (EAT_PROV_ENABLED && prov_) {
-            // Reference i of a page walk touches level
-            // leafLevel + refs - 1 - i.
+            // A page walk fetches top-down: reference i touches level
+            // leafLevel + refs - 1 - i. Range walks report level 0.
             const unsigned level = s.id == ProvStruct::RangeWalkMem
                                        ? 0
                                        : leafLevel + refs - 1 - i;
