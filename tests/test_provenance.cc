@@ -9,6 +9,8 @@
  *  - sampling thins the written stream but never the summary totals;
  *  - the JSONL stream round-trips: eatreport --reconcile re-sums the
  *    file and agrees, and rejects sampled streams;
+ *  - eatreport --reconcile refuses a stream with a dropped event, an
+ *    edited energy or an edited summary row, naming core and structure;
  *  - eatreport --chrome-out puts every exportable event of a 2-core
  *    stream on its core's track, in time order;
  *  - the summary JSON record parses back to the exact doubles;
@@ -291,6 +293,123 @@ TEST(Provenance, EatreportReconcilesTheStreamEndToEnd)
     EXPECT_EQ(WEXITSTATUS(run.status), 0) << run.output;
     EXPECT_NE(run.output.find("bit for bit"), std::string::npos)
         << run.output;
+}
+
+/** Copy @p from to @p to with @p edit applied to every line; @p edit
+ *  returns false to drop the line. */
+template <typename Edit>
+void
+copyEdited(const std::string &from, const std::string &to, Edit edit)
+{
+    std::ifstream in(from);
+    std::ofstream out(to, std::ios::trunc);
+    for (std::string line; std::getline(in, line);) {
+        if (edit(line))
+            out << line << '\n';
+    }
+}
+
+/** @p line's core and structure, as "core C" and the "s" token. */
+std::pair<std::string, std::string>
+coreAndStruct(const std::string &line)
+{
+    const auto o = obs::parseJson(line);
+    if (!o.ok())
+        return {};
+    return {"core " + std::to_string(static_cast<unsigned>(
+                          o.value().find("core")->number)) + " ",
+            o.value().find("s")->string};
+}
+
+TEST(Provenance, EatreportRefusesATamperedStream)
+{
+    if (!obs::kProvenanceCompiledIn)
+        GTEST_SKIP() << kNoHooks;
+    const std::string dir = test::scratchDir();
+    mc::McConfig cfg;
+    cfg.base = provConfig("mcf", core::MmuOrg::TlbLite, 100'000);
+    cfg.base.fastForwardInstructions = 10'000;
+    cfg.base.provenancePath = dir + "intact.prov.jsonl";
+    const auto mix = mc::parseMixSpec("mcf,canneal");
+    ASSERT_TRUE(mix.ok());
+    cfg.mix = mix.value();
+    cfg.base.workload = cfg.mix.front();
+    cfg.cores = 2;
+    cfg.quantumInstructions = 20'000;
+    cfg.remapInterval = 25'000;
+    const auto r = mc::mcSimulate(cfg);
+    ASSERT_TRUE(r.provenanceEnabled);
+    ASSERT_EQ(r.provenance.cores.size(), 2u);
+
+    const EatreportRun intact =
+        runEatreport("--prov=" + cfg.base.provenancePath + " --reconcile");
+    ASSERT_TRUE(WIFEXITED(intact.status)) << intact.output;
+    ASSERT_EQ(WEXITSTATUS(intact.status), 0) << intact.output;
+
+    /** eatreport must refuse @p path and name @p core and @p structure. */
+    auto expectRefused = [](const std::string &path, const std::string &what,
+                            const std::string &core,
+                            const std::string &structure) {
+        ASSERT_FALSE(core.empty() || structure.empty()) << what;
+        const EatreportRun run = runEatreport("--prov=" + path + " --reconcile");
+        ASSERT_TRUE(WIFEXITED(run.status)) << what << "\n" << run.output;
+        EXPECT_EQ(WEXITSTATUS(run.status), 1) << what << "\n" << run.output;
+        EXPECT_NE(run.output.find(core), std::string::npos)
+            << what << ": no '" << core << "' in\n" << run.output;
+        EXPECT_NE(run.output.find(structure), std::string::npos)
+            << what << ": no '" << structure << "' in\n" << run.output;
+    };
+
+    // The 1000th probe line dropped.
+    std::string dropped;
+    unsigned probes = 0;
+    copyEdited(cfg.base.provenancePath, dir + "dropped.prov.jsonl",
+               [&](const std::string &line) {
+                   if (line.find("\"k\":\"probe\"") == std::string::npos ||
+                       ++probes != 1000)
+                       return true;
+                   dropped = line;
+                   return false;
+               });
+    const auto [droppedCore, droppedStruct] = coreAndStruct(dropped);
+    expectRefused(dir + "dropped.prov.jsonl", "dropped probe", droppedCore,
+                  droppedStruct);
+
+    // The first fill line's energy raised by 0.1 pJ: far more than the
+    // last bit of the sum, which would round a one-ulp edit away.
+    std::string raised;
+    copyEdited(cfg.base.provenancePath, dir + "raised.prov.jsonl",
+               [&](std::string &line) {
+                   if (!raised.empty() ||
+                       line.find("\"k\":\"fill\"") == std::string::npos)
+                       return true;
+                   raised = line;
+                   const std::size_t at = line.find("\"pj\":") + 5;
+                   const double pj = std::stod(line.substr(at));
+                   line = line.substr(0, at) +
+                          obs::jsonNumberExact(pj + 0.1) + "}";
+                   return true;
+               });
+    const auto [raisedCore, raisedStruct] = coreAndStruct(raised);
+    expectRefused(dir + "raised.prov.jsonl", "raised fill", raisedCore,
+                  raisedStruct);
+
+    // A summary whose core-1 l1_tlb_2m totals read zero. Its dynamic_pj
+    // is re-summed from the rows, so only the row disagrees.
+    obs::ProvSummary zeroed = r.provenance;
+    auto &row = zeroed.cores[1].structs[static_cast<std::size_t>(
+        obs::ProvStruct::L1Tlb2M)];
+    ASSERT_GT(row.reads, 0u) << "core 1 must probe its 2 MB TLB";
+    row = obs::ProvStructTotals{};
+    copyEdited(cfg.base.provenancePath, dir + "zeroed.prov.jsonl",
+               [&](std::string &line) {
+                   if (line.find(obs::kProvSummarySchema) !=
+                       std::string::npos)
+                       line = obs::provSummaryToJson(zeroed);
+                   return true;
+               });
+    expectRefused(dir + "zeroed.prov.jsonl", "zeroed summary row",
+                  "core 1 ", "l1_tlb_2m");
 }
 
 /** The Chrome export holds every translation, resize, interval and
