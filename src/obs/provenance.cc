@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "base/logging.hh"
 
@@ -81,6 +82,31 @@ provLog2Bucket(double v)
     return exponent >= 62 ? 63 : static_cast<std::size_t>(exponent) + 1;
 }
 
+void
+ProvCoreTotals::add(ProvKind kind, ProvStruct s, PicoJoules pj)
+{
+    switch (kind) {
+      case ProvKind::Probe:
+      case ProvKind::WalkRef:
+      case ProvKind::Fill:
+        structs[static_cast<std::size_t>(s)].add(kind, pj);
+        break;
+      case ProvKind::Evict:
+        ++structs[static_cast<std::size_t>(s)].evicts;
+        break;
+      case ProvKind::Shootdown:
+        ++shootdowns;
+        shootdownPj += pj;
+        break;
+      case ProvKind::CohProbe:
+        ++cohProbes;
+        cohPj += pj;
+        break;
+      default:
+        break;
+    }
+}
+
 PicoJoules
 ProvCoreTotals::canonicalDynamicPj() const
 {
@@ -149,28 +175,13 @@ ProvenanceSink::accumulate(const ProvEvent &e)
 {
     ++summary_.events;
     ProvCoreTotals &ct = coreTotals(e.core);
-    switch (e.kind) {
-      case ProvKind::Probe:
-      case ProvKind::Fill:
-      case ProvKind::WalkRef:
+    if (isPathEvent(e.kind)) {
         accumulatePath(e, ct);
-        break;
-      case ProvKind::Evict:
-        ++ct.structs[static_cast<std::size_t>(e.structId)].evicts;
-        break;
-      case ProvKind::Shootdown:
-        ++ct.shootdowns;
-        ct.shootdownPj += e.pj;
-        summary_.shootdownFanout.record(provLog2Bucket(double(e.aux1)));
-        break;
-      case ProvKind::CohProbe:
-        ++ct.cohProbes;
-        ct.cohPj += e.pj;
-        summary_.shootdownFanout.record(provLog2Bucket(double(e.aux1)));
-        break;
-      default:
-        break;
+        return;
     }
+    ct.add(e.kind, e.structId, e.pj);
+    if (e.kind == ProvKind::Shootdown || e.kind == ProvKind::CohProbe)
+        summary_.shootdownFanout.record(provLog2Bucket(double(e.aux1)));
 }
 
 void
@@ -303,6 +314,66 @@ histToJson(const stats::Histogram &h)
     return out;
 }
 
+/** Reads the members of one summary record, keeping the first problem;
+ *  a missing or mistyped member reads as zero after that. */
+struct SummaryReader
+{
+    Status status;
+    std::string where = "summary"; ///< names the object being read
+
+    template <typename... Args>
+    void
+    fail(Args &&...args)
+    {
+        if (status.ok())
+            status = Status::error(where, ": ", std::forward<Args>(args)...);
+    }
+
+    std::uint64_t
+    count(const JsonValue &o, std::string_view key)
+    {
+        const JsonValue *v = o.find(key);
+        if (v && v->exactUint)
+            return *v->exactUint;
+        fail("'", key, "' is missing or not an unsigned integer");
+        return 0;
+    }
+
+    PicoJoules
+    pj(const JsonValue &o, std::string_view key)
+    {
+        const JsonValue *v = o.find(key);
+        if (v && v->isNumber())
+            return v->number;
+        fail("'", key, "' is missing or not a number");
+        return 0.0;
+    }
+
+    const std::vector<JsonValue> &
+    array(const JsonValue &o, std::string_view key)
+    {
+        static const std::vector<JsonValue> kNone;
+        const JsonValue *v = o.find(key);
+        if (v && v->isArray())
+            return v->array;
+        fail("'", key, "' is missing or not an array");
+        return kNone;
+    }
+
+    stats::Histogram
+    histogram(const JsonValue &hist, std::string_view key)
+    {
+        const auto &buckets = array(hist, key);
+        stats::Histogram h(buckets.size());
+        for (std::size_t i = 0; i < buckets.size(); ++i) {
+            if (!buckets[i].exactUint)
+                fail("'", key, "' bucket ", i, " is not an unsigned integer");
+            h.record(i, buckets[i].exactUint.value_or(0));
+        }
+        return h;
+    }
+};
+
 } // namespace
 
 std::string
@@ -361,6 +432,75 @@ provSummaryToJson(const ProvSummary &s)
     hist.putRaw("shootdown_fanout_log2", histToJson(s.shootdownFanout));
     o.putRaw("hist", hist.str());
     return o.str();
+}
+
+Result<ProvSummary>
+provSummaryFromJson(const JsonValue &json)
+{
+    const JsonValue *schema = json.find("schema");
+    if (!schema || schema->string != kProvSummarySchema)
+        return Status::error("summary: schema is not '", kProvSummarySchema,
+                             "'");
+    SummaryReader in;
+    if (in.count(json, "v") != unsigned(kProvSummaryVersion)) {
+        in.fail("version is not ", kProvSummaryVersion);
+        return in.status;
+    }
+
+    ProvSummary s;
+    s.sampleEvery = in.count(json, "sample_every");
+    s.translations = in.count(json, "translations");
+    s.translationsSampled = in.count(json, "translations_sampled");
+    s.events = in.count(json, "events");
+    s.eventsWritten = in.count(json, "events_written");
+
+    for (const JsonValue &co : in.array(json, "cores")) {
+        in.where = "summary";
+        const std::uint64_t c = in.count(co, "core");
+        if (c != s.cores.size()) {
+            in.fail("core ", c, " listed at position ", s.cores.size());
+            break;
+        }
+        in.where = "summary core " + std::to_string(c);
+        ProvCoreTotals &ct = s.cores.emplace_back();
+        for (const JsonValue &so : in.array(co, "structs")) {
+            const JsonValue *name = so.find("s");
+            const std::string token = name ? name->string : "";
+            const ProvStruct id = provStructFromName(token);
+            if (static_cast<unsigned>(id) >= kProvMeteredStructs) {
+                in.fail("unknown structure '", token, "'");
+                break;
+            }
+            ProvStructTotals &st = ct.structs[static_cast<std::size_t>(id)];
+            st.reads = in.count(so, "reads");
+            st.writes = in.count(so, "writes");
+            st.evicts = in.count(so, "evicts");
+            st.readPj = in.pj(so, "read_pj");
+            st.writePj = in.pj(so, "write_pj");
+        }
+        ct.shootdowns = in.count(co, "shootdowns");
+        ct.shootdownPj = in.pj(co, "shootdown_pj");
+        ct.cohProbes = in.count(co, "coh_probes");
+        ct.cohPj = in.pj(co, "coh_pj");
+        const PicoJoules dynamicPj = in.pj(co, "dynamic_pj");
+        if (in.status.ok() && dynamicPj != ct.canonicalDynamicPj()) {
+            in.fail("dynamic_pj ", jsonNumberExact(dynamicPj),
+                    " is not the sum of its rows, ",
+                    jsonNumberExact(ct.canonicalDynamicPj()));
+        }
+    }
+
+    in.where = "summary hist";
+    static const JsonValue kNoHist;
+    const JsonValue *hist = json.find("hist");
+    const JsonValue &h = hist ? *hist : kNoHist;
+    s.walkDepth = in.histogram(h, "walk_depth");
+    s.translationPj = in.histogram(h, "translation_pj_log2");
+    s.reuseDistance = in.histogram(h, "reuse_log2");
+    s.shootdownFanout = in.histogram(h, "shootdown_fanout_log2");
+    if (!in.status.ok())
+        return in.status;
+    return s;
 }
 
 Status

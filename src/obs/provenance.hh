@@ -26,6 +26,9 @@
  * written. The stream is versioned: every line carries
  * {"schema":"eat.prov.event","v":1}, and the stream ends with one
  * {"schema":"eat.prov.summary","v":1} record holding the exact totals.
+ * This module alone owns that record and the per-event book: readers
+ * parse it back with provSummaryFromJson() and re-sum a stream's events
+ * with ProvCoreTotals::add(), as eatreport --reconcile does.
  *
  * Compile-out: building with EAT_PROVENANCE=OFF defines
  * EAT_NO_PROVENANCE, which turns every instrumentation hook into dead
@@ -98,6 +101,20 @@ struct ProvStructTotals
     std::uint64_t evicts = 0; ///< Evict events (no energy)
     PicoJoules readPj = 0.0;
     PicoJoules writePj = 0.0;
+
+    /** Book a Probe, WalkRef or Fill event charged @p pj: a Fill
+     *  writes, any other kind reads. */
+    void
+    add(ProvKind kind, PicoJoules pj)
+    {
+        if (kind == ProvKind::Fill) {
+            ++writes;
+            writePj += pj;
+        } else {
+            ++reads;
+            readPj += pj;
+        }
+    }
 };
 
 /** Per-core totals; structs[] is indexed by ProvStruct. */
@@ -108,6 +125,13 @@ struct ProvCoreTotals
     PicoJoules shootdownPj = 0.0;
     std::uint64_t cohProbes = 0;  ///< hw-coherence filter probes
     PicoJoules cohPj = 0.0;       ///< hw-coherence energy (own book)
+
+    /**
+     * Book one event of this core: Probe, WalkRef, Fill and Evict on
+     * structure @p s (a metered id), Shootdown and CohProbe in the
+     * core's own book. Other kinds book nothing and ignore @p s.
+     */
+    void add(ProvKind kind, ProvStruct s, PicoJoules pj);
 
     /**
      * Dynamic energy re-derived from events, added in the exact order
@@ -210,15 +234,7 @@ class ProvenanceSink
     void
     accumulatePath(const ProvEvent &e, ProvCoreTotals &ct)
     {
-        ProvStructTotals &s =
-            ct.structs[static_cast<std::size_t>(e.structId)];
-        if (e.kind == ProvKind::Fill) {
-            ++s.writes;
-            s.writePj += e.pj;
-        } else {
-            ++s.reads;
-            s.readPj += e.pj;
-        }
+        ct.structs[static_cast<std::size_t>(e.structId)].add(e.kind, e.pj);
         if (inTranslation_) {
             curPj_ += e.pj;
             if (e.kind == ProvKind::WalkRef &&
@@ -259,6 +275,15 @@ class ProvenanceSink
 /** Render the summary as the eat.prov.summary JSONL line (exact
  *  totals at precision 17). Exposed so tests can golden-check it. */
 std::string provSummaryToJson(const ProvSummary &summary);
+
+/**
+ * Parse an eat.prov.summary record: the exact inverse of
+ * provSummaryToJson(), every count and double and histogram bucket.
+ * A structure without a row reads zero. Refused: a wrong schema or
+ * version, a missing or non-integer count, an unknown structure name,
+ * and a core whose dynamic_pj is not canonicalDynamicPj() of its rows.
+ */
+Result<ProvSummary> provSummaryFromJson(const JsonValue &json);
 
 } // namespace eat::obs
 

@@ -13,7 +13,9 @@
  *    edited energy or an edited summary row, naming core and structure;
  *  - eatreport --chrome-out puts every exportable event of a 2-core
  *    stream on its core's track, in time order;
- *  - the summary JSON record parses back to the exact doubles;
+ *  - the summary record parses back bit for bit, and a summary with a
+ *    wrong schema, an unknown structure or a dynamic_pj that is not its
+ *    rows' sum is refused;
  *  - the shared log2 bucket helper is what both sides assume, and
  *    equals the halving loop that defines it;
  *  - golden bytes: a fixed 2-core audit mix writes exactly the
@@ -184,31 +186,6 @@ TEST(Provenance, SamplingThinsTheStreamButNotTheTotals)
     expectReconciles(s.cores[0], sampled, "sampled");
 }
 
-TEST(Provenance, SummaryJsonRoundTripsExactly)
-{
-    if (!obs::kProvenanceCompiledIn)
-        GTEST_SKIP() << kNoHooks;
-    const auto r = sim::simulate(
-        provConfig("omnetpp", core::MmuOrg::TlbLite, 300'000));
-    ASSERT_TRUE(r.provenanceEnabled);
-
-    const std::string json = provSummaryToJson(r.provenance);
-    const auto parsed = obs::parseJson(json);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-    const obs::JsonValue &o = parsed.value();
-
-    EXPECT_EQ(o.find("schema")->string, obs::kProvSummarySchema);
-    EXPECT_EQ(static_cast<std::uint64_t>(o.find("translations")->number),
-              r.provenance.translations);
-
-    const obs::JsonValue *cores = o.find("cores");
-    ASSERT_TRUE(cores && cores->isArray());
-    ASSERT_EQ(cores->array.size(), r.provenance.cores.size());
-    // %.17g must reconstruct the accumulated double bit for bit.
-    EXPECT_EQ(cores->array[0].find("dynamic_pj")->number,
-              r.provenance.cores[0].canonicalDynamicPj());
-}
-
 /** FNV-1a 64 of @p bytes. */
 std::uint64_t
 fnv64(const std::string &bytes)
@@ -250,6 +227,93 @@ auditMixConfig()
     cfg.remapInterval = 20'000;
     cfg.coherence = mc::McConfig::CoherenceMode::Hw;
     return cfg;
+}
+
+/** @p json with the first occurrence of @p from replaced by @p to. */
+std::string
+replaced(std::string json, const std::string &from, const std::string &to)
+{
+    const std::size_t at = json.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        json.replace(at, from.size(), to);
+    return json;
+}
+
+void
+expectSameHistogram(const stats::Histogram &a, const stats::Histogram &b,
+                    const char *what)
+{
+    ASSERT_EQ(a.numBuckets(), b.numBuckets()) << what;
+    EXPECT_EQ(a.total(), b.total()) << what;
+    for (std::size_t i = 0; i < a.numBuckets(); ++i)
+        EXPECT_EQ(a.bucketCount(i), b.bucketCount(i)) << what << " " << i;
+}
+
+TEST(Provenance, SummaryParsesBackBitForBit)
+{
+    if (!obs::kProvenanceCompiledIn)
+        GTEST_SKIP() << kNoHooks;
+    const auto r = mc::mcSimulate(auditMixConfig());
+    ASSERT_TRUE(r.provenanceEnabled);
+    const obs::ProvSummary &s = r.provenance;
+    ASSERT_EQ(s.cores.size(), 2u);
+    EXPECT_GT(s.cores[0].cohProbes + s.cores[1].cohProbes, 0u);
+
+    const std::string json = obs::provSummaryToJson(s);
+    const auto parsed = obs::parseJson(json);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    const auto back = obs::provSummaryFromJson(parsed.value());
+    ASSERT_TRUE(back.ok()) << back.status().message();
+    const obs::ProvSummary &b = back.value();
+
+    EXPECT_EQ(b.sampleEvery, s.sampleEvery);
+    EXPECT_EQ(b.translations, s.translations);
+    EXPECT_EQ(b.translationsSampled, s.translationsSampled);
+    EXPECT_EQ(b.events, s.events);
+    EXPECT_EQ(b.eventsWritten, s.eventsWritten);
+    ASSERT_EQ(b.cores.size(), s.cores.size());
+    for (std::size_t c = 0; c < s.cores.size(); ++c) {
+        const obs::ProvCoreTotals &x = b.cores[c];
+        const obs::ProvCoreTotals &y = s.cores[c];
+        for (unsigned i = 0; i < obs::kProvMeteredStructs; ++i) {
+            const auto what = "core " + std::to_string(c) + " " +
+                              std::string(obs::provStructName(
+                                  static_cast<obs::ProvStruct>(i)));
+            EXPECT_EQ(x.structs[i].reads, y.structs[i].reads) << what;
+            EXPECT_EQ(x.structs[i].writes, y.structs[i].writes) << what;
+            EXPECT_EQ(x.structs[i].evicts, y.structs[i].evicts) << what;
+            EXPECT_EQ(x.structs[i].readPj, y.structs[i].readPj) << what;
+            EXPECT_EQ(x.structs[i].writePj, y.structs[i].writePj) << what;
+        }
+        EXPECT_EQ(x.shootdowns, y.shootdowns) << "core " << c;
+        EXPECT_EQ(x.shootdownPj, y.shootdownPj) << "core " << c;
+        EXPECT_EQ(x.cohProbes, y.cohProbes) << "core " << c;
+        EXPECT_EQ(x.cohPj, y.cohPj) << "core " << c;
+    }
+    expectSameHistogram(b.walkDepth, s.walkDepth, "walk_depth");
+    expectSameHistogram(b.translationPj, s.translationPj, "translation_pj");
+    expectSameHistogram(b.reuseDistance, s.reuseDistance, "reuse");
+    expectSameHistogram(b.shootdownFanout, s.shootdownFanout, "fanout");
+
+    // Refused: a wrong schema, an unknown structure, and a dynamic_pj
+    // that is not its rows' sum.
+    const std::string dynamicPj =
+        "\"dynamic_pj\":" +
+        obs::jsonNumberExact(s.cores[0].canonicalDynamicPj());
+    for (const auto &[bad, why] :
+         {std::pair{replaced(json, "eat.prov.summary", "eat.prov.event"),
+                    "schema"},
+          std::pair{replaced(json, "\"l1_tlb_4k\"", "\"l1_tlb_8k\""),
+                    "unknown structure 'l1_tlb_8k'"},
+          std::pair{replaced(json, dynamicPj, "\"dynamic_pj\":1"),
+                    "is not the sum of its rows"}}) {
+        const auto refused = obs::provSummaryFromJson(
+            obs::parseJson(bad).value());
+        ASSERT_FALSE(refused.ok()) << why;
+        EXPECT_NE(refused.status().message().find(why), std::string::npos)
+            << refused.status().message();
+    }
 }
 
 /** What one eatreport run exited with and printed. */
