@@ -19,27 +19,31 @@
  *    translation/resize/interval/shootdown events on per-core tracks,
  *    rendered by obs::TraceWriter (events past its cap are counted and
  *    reported, not written);
- *  - with --reconcile, the exact-accounting check: re-summing the
- *    written events must reproduce the trailing summary record bit for
- *    bit (and, with --telemetry, every telemetry dynamic_pj row must
- *    equal its interval marker exactly). Reconciliation requires an
- *    unsampled stream (sample_every == 1).
+ *  - with --reconcile, the exact-accounting check: the written events,
+ *    re-summed with the sink's own book (obs::ProvCoreTotals::add),
+ *    must reproduce the trailing summary record bit for bit, core by
+ *    core and field by field (and, with --telemetry, every telemetry
+ *    dynamic_pj row must equal its interval marker exactly).
+ *    Reconciliation requires an unsampled stream (sample_every == 1).
  *
- * A torn final line (crashed producer) is tolerated with a warning;
- * malformed lines anywhere else are a hard error.
+ * The summary record is read with obs::provSummaryFromJson(); a record
+ * it refuses (an unknown structure, a dynamic_pj that is not the sum
+ * of its core's rows, ...) is a hard error in every mode. A torn final
+ * line (crashed producer) is tolerated with a warning; malformed lines
+ * anywhere else are a hard error.
  *
  * Exit status: 0 on success (reconciliation included), 1 on a runtime
  * error or a failed check, 2 on bad usage.
  */
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -102,16 +106,6 @@ str(const obs::JsonValue &o, std::string_view key)
     return v && v->isString() ? v->string : std::string();
 }
 
-/** Exact per-(core, structure) re-accumulation, in stream order. */
-struct CoreAgg
-{
-    std::array<obs::ProvStructTotals, obs::kProvMeteredStructs> structs{};
-    std::uint64_t shootdowns = 0;
-    PicoJoules shootdownPj = 0.0;
-    std::uint64_t cohProbes = 0;
-    PicoJoules cohPj = 0.0;
-};
-
 /** The Chrome export: one process per core, one track per event
  *  family. Every core's clock reads @c instr, which holds the stamp
  *  of the line being recorded: that core's instruction count. The
@@ -135,7 +129,9 @@ struct Stream
     std::uint64_t translationEvents = 0;
     bool torn = false;
 
-    std::vector<CoreAgg> cores;
+    /** The events re-summed per core with the sink's own book, in
+     *  stream order. */
+    std::vector<obs::ProvCoreTotals> cores;
 
     /** (struct, kind, psShift) -> {count, pJ}. */
     std::map<std::tuple<unsigned, unsigned, unsigned>,
@@ -148,20 +144,11 @@ struct Stream
     /** Interval markers: (core, interval) -> exact delta pJ. */
     std::map<std::pair<unsigned, std::uint64_t>, PicoJoules> intervals;
 
-    bool haveSummary = false;
-    std::uint64_t sampleEvery = 1;
-    std::uint64_t translations = 0;
-    std::uint64_t translationsSampled = 0;
-    std::uint64_t summaryEvents = 0;
-    std::uint64_t eventsWritten = 0;
-    obs::JsonValue summary;
+    /** The trailing summary record. Unlike the event sums its totals
+     *  survive sampling, so the report and diff prefer them. */
+    std::optional<obs::ProvSummary> summary;
 
-    /** Exact totals parsed from the summary record — unlike the event
-     *  sums these survive sampling, so the report and diff prefer
-     *  them when present. */
-    std::vector<CoreAgg> summaryCores;
-
-    CoreAgg &
+    obs::ProvCoreTotals &
     core(unsigned c)
     {
         if (c >= cores.size())
@@ -171,31 +158,18 @@ struct Stream
 
     /** The most trustworthy totals: exact summary when present,
      *  otherwise the re-summed events (a torn stream). */
-    const std::vector<CoreAgg> &
+    const std::vector<obs::ProvCoreTotals> &
     best() const
     {
-        return haveSummary ? summaryCores : cores;
-    }
-
-    /** Dynamic total summed in the meters' canonical order. */
-    PicoJoules
-    canonicalDynamicPj(unsigned c) const
-    {
-        const auto &from = best();
-        if (c >= from.size())
-            return 0.0;
-        PicoJoules total = 0.0;
-        for (const auto &s : from[c].structs)
-            total += s.readPj + s.writePj;
-        return total;
+        return summary ? summary->cores : cores;
     }
 
     PicoJoules
     totalDynamicPj() const
     {
         PicoJoules total = 0.0;
-        for (unsigned c = 0; c < best().size(); ++c)
-            total += canonicalDynamicPj(c);
+        for (const obs::ProvCoreTotals &c : best())
+            total += c.canonicalDynamicPj();
         return total;
     }
 
@@ -210,42 +184,6 @@ struct Stream
         return totalDynamicPj() * 1000.0 / instr;
     }
 };
-
-/** Parse the summary record's exact per-core totals. */
-std::vector<CoreAgg>
-parseSummaryCores(const obs::JsonValue &summary)
-{
-    std::vector<CoreAgg> cores;
-    const obs::JsonValue *arr = summary.find("cores");
-    if (!arr || !arr->isArray())
-        return cores;
-    for (const auto &co : arr->array) {
-        const unsigned c = static_cast<unsigned>(count(co, "core"));
-        if (c >= cores.size())
-            cores.resize(c + 1);
-        CoreAgg &agg = cores[c];
-        agg.shootdowns = count(co, "shootdowns");
-        agg.shootdownPj = num(co, "shootdown_pj");
-        agg.cohProbes = count(co, "coh_probes");
-        agg.cohPj = num(co, "coh_pj");
-        const obs::JsonValue *structs = co.find("structs");
-        if (!structs || !structs->isArray())
-            continue;
-        for (const auto &so : structs->array) {
-            const auto idx = static_cast<unsigned>(
-                obs::provStructFromName(str(so, "s")));
-            if (idx >= obs::kProvMeteredStructs)
-                continue;
-            auto &t = agg.structs[idx];
-            t.reads = count(so, "reads");
-            t.writes = count(so, "writes");
-            t.evicts = count(so, "evicts");
-            t.readPj = num(so, "read_pj");
-            t.writePj = num(so, "write_pj");
-        }
-    }
-    return cores;
-}
 
 void
 recordEvent(Stream &s, const obs::JsonValue &o, ChromeExport *chrome)
@@ -274,54 +212,22 @@ recordEvent(Stream &s, const obs::JsonValue &o, ChromeExport *chrome)
     }
     const unsigned structIdx = static_cast<unsigned>(structId);
     const unsigned ps = static_cast<unsigned>(count(o, "ps"));
-    CoreAgg &agg = s.core(core);
+    const bool perStructure =
+        kind == obs::ProvKind::Probe || kind == obs::ProvKind::WalkRef ||
+        kind == obs::ProvKind::Fill || kind == obs::ProvKind::Evict;
+    if (perStructure && structIdx >= obs::kProvMeteredStructs)
+        fail(s.path + ": " + kindName + " with bad structure");
+    s.core(core).add(kind, structId, pj);
 
-    switch (kind) {
-      case obs::ProvKind::Probe:
-      case obs::ProvKind::WalkRef: {
-        if (structIdx >= obs::kProvMeteredStructs)
-            fail(s.path + ": probe/walk_ref with bad structure");
-        auto &t = agg.structs[structIdx];
-        ++t.reads;
-        t.readPj += pj;
-        break;
-      }
-      case obs::ProvKind::Fill: {
-        if (structIdx >= obs::kProvMeteredStructs)
-            fail(s.path + ": fill with bad structure");
-        auto &t = agg.structs[structIdx];
-        ++t.writes;
-        t.writePj += pj;
-        break;
-      }
-      case obs::ProvKind::Evict:
-        if (structIdx >= obs::kProvMeteredStructs)
-            fail(s.path + ": evict with bad structure");
-        ++agg.structs[structIdx].evicts;
-        break;
-      case obs::ProvKind::Shootdown:
-        ++agg.shootdowns;
-        agg.shootdownPj += pj;
-        break;
-      case obs::ProvKind::CohProbe:
-        ++agg.cohProbes;
-        agg.cohPj += pj;
-        break;
-      case obs::ProvKind::Interval:
+    if (kind == obs::ProvKind::Interval) {
         s.intervals[{core, count(o, "interval")}] = pj;
-        break;
-      case obs::ProvKind::Translation: {
-        ++s.translationEvents;
-        auto &src = s.bySource[str(o, "src")];
-        ++src.first;
-        src.second += pj;
-        break;
-      }
-      default:
-        break;
-    }
-
-    if (kind != obs::ProvKind::Interval) {
+    } else {
+        if (kind == obs::ProvKind::Translation) {
+            ++s.translationEvents;
+            auto &src = s.bySource[str(o, "src")];
+            ++src.first;
+            src.second += pj;
+        }
         auto &cell = s.breakdown[{structIdx,
                                   static_cast<unsigned>(kind), ps}];
         ++cell.first;
@@ -382,7 +288,6 @@ loadStream(const std::string &path, ChromeExport *chrome)
     Stream s;
     s.path = path;
     std::string line;
-    std::string pending;
     std::uint64_t lineNo = 0;
     bool pendingBad = false;
     std::uint64_t badLineNo = 0;
@@ -407,15 +312,11 @@ loadStream(const std::string &path, ChromeExport *chrome)
         if (schema == obs::kProvEventSchema) {
             recordEvent(s, o, chrome);
         } else if (schema == obs::kProvSummarySchema) {
-            s.haveSummary = true;
-            s.sampleEvery = std::max<std::uint64_t>(
-                count(o, "sample_every"), 1);
-            s.translations = count(o, "translations");
-            s.translationsSampled = count(o, "translations_sampled");
-            s.summaryEvents = count(o, "events");
-            s.eventsWritten = count(o, "events_written");
-            s.summary = o;
-            s.summaryCores = parseSummaryCores(o);
+            auto summary = obs::provSummaryFromJson(o);
+            if (!summary.ok())
+                fail(path + ":" + std::to_string(lineNo) + ": " +
+                     summary.status().message());
+            s.summary = std::move(summary.value());
         } else {
             fail(path + ":" + std::to_string(lineNo) +
                  ": unknown schema '" + schema +
@@ -430,43 +331,25 @@ loadStream(const std::string &path, ChromeExport *chrome)
                      path.c_str(),
                      static_cast<unsigned long long>(badLineNo));
     }
-    if (s.eventLines == 0 && !s.haveSummary)
+    if (s.eventLines == 0 && !s.summary)
         fail(path + ": no provenance records found");
     return s;
 }
 
-// --- histogram helpers (summary "hist" arrays) ---
+// --- histogram helpers ---
 
-std::vector<std::uint64_t>
-histCounts(const obs::JsonValue &summary, std::string_view name)
-{
-    std::vector<std::uint64_t> counts;
-    const obs::JsonValue *hist = summary.find("hist");
-    const obs::JsonValue *arr = hist ? hist->find(name) : nullptr;
-    if (arr && arr->isArray()) {
-        for (const auto &v : arr->array)
-            counts.push_back(static_cast<std::uint64_t>(v.number));
-    }
-    return counts;
-}
-
-/** Index of the bucket holding quantile @p q (0..1). */
+/** Index of the bucket holding quantile @p q (0..1); @p h not empty. */
 std::size_t
-histQuantile(const std::vector<std::uint64_t> &counts, double q)
+histQuantile(const stats::Histogram &h, double q)
 {
-    std::uint64_t total = 0;
-    for (const auto c : counts)
-        total += c;
-    if (total == 0)
-        return 0;
-    const double target = q * static_cast<double>(total);
+    const double target = q * static_cast<double>(h.total());
     std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        seen += counts[i];
+    for (std::size_t i = 0; i < h.numBuckets(); ++i) {
+        seen += h.bucketCount(i);
         if (static_cast<double>(seen) >= target)
             return i;
     }
-    return counts.empty() ? 0 : counts.size() - 1;
+    return h.numBuckets() - 1;
 }
 
 /** Render a log2 bucket index as its value range ("0" or "[2^a,2^b)"). */
@@ -480,39 +363,35 @@ log2BucketLabel(std::size_t bucket)
 }
 
 void
-printHistogramSummaries(const Stream &s)
+printHistogramSummaries(const obs::ProvSummary &summary)
 {
     struct Spec
     {
-        const char *key;
+        const stats::Histogram &hist;
         const char *title;
         bool log2;
     };
     const Spec specs[] = {
-        {"walk_depth", "page-walk memory refs / translation", false},
-        {"translation_pj_log2", "pJ / translation", true},
-        {"reuse_log2", "instructions between L1 misses", true},
-        {"shootdown_fanout_log2", "entries invalidated / shootdown",
+        {summary.walkDepth, "page-walk memory refs / translation", false},
+        {summary.translationPj, "pJ / translation", true},
+        {summary.reuseDistance, "instructions between L1 misses", true},
+        {summary.shootdownFanout, "entries invalidated / shootdown",
          true},
     };
     std::cout << "\ndistributions (p50 / p90 / p99):\n";
     stats::TextTable table({"distribution", "samples", "p50", "p90",
                             "p99"});
     for (const auto &spec : specs) {
-        const auto counts = histCounts(s.summary, spec.key);
-        std::uint64_t total = 0;
-        for (const auto c : counts)
-            total += c;
-        if (total == 0)
+        if (spec.hist.total() == 0)
             continue;
         auto label = [&spec](std::size_t bucket) {
             return spec.log2 ? log2BucketLabel(bucket)
                              : std::to_string(bucket);
         };
-        table.addRow({spec.title, std::to_string(total),
-                      label(histQuantile(counts, 0.50)),
-                      label(histQuantile(counts, 0.90)),
-                      label(histQuantile(counts, 0.99))});
+        table.addRow({spec.title, std::to_string(spec.hist.total()),
+                      label(histQuantile(spec.hist, 0.50)),
+                      label(histQuantile(spec.hist, 0.90)),
+                      label(histQuantile(spec.hist, 0.99))});
     }
     table.print(std::cout);
 }
@@ -525,9 +404,9 @@ printReport(const Stream &s)
     std::cout << "provenance stream: " << s.path << "\n";
     std::cout << "events: " << s.eventLines << " lines, "
               << s.translationEvents << " translation paths";
-    if (s.haveSummary) {
-        std::cout << " (run total " << s.translations
-                  << " translations, 1-in-" << s.sampleEvery
+    if (s.summary) {
+        std::cout << " (run total " << s.summary->translations
+                  << " translations, 1-in-" << s.summary->sampleEvery
                   << " sampling)";
     }
     std::cout << "\n";
@@ -537,14 +416,14 @@ printReport(const Stream &s)
 
     const auto &cores = s.best();
     for (unsigned c = 0; c < cores.size(); ++c) {
-        const CoreAgg &agg = cores[c];
+        const obs::ProvCoreTotals &agg = cores[c];
         std::cout << "\ncore " << c << " energy by structure ("
-                  << (s.haveSummary ? "exact summary totals"
-                                    : "re-summed events")
+                  << (s.summary ? "exact summary totals"
+                                : "re-summed events")
                   << "):\n";
         stats::TextTable table({"structure", "reads", "writes", "evicts",
                                 "read pJ", "write pJ", "share"});
-        const PicoJoules total = s.canonicalDynamicPj(c);
+        const PicoJoules total = agg.canonicalDynamicPj();
         for (unsigned i = 0; i < obs::kProvMeteredStructs; ++i) {
             const auto &t = agg.structs[i];
             if (t.reads == 0 && t.writes == 0 && t.evicts == 0)
@@ -606,8 +485,8 @@ printReport(const Stream &s)
         src.print(std::cout);
     }
 
-    if (s.haveSummary)
-        printHistogramSummaries(s);
+    if (s.summary)
+        printHistogramSummaries(*s.summary);
 
     std::cout << "\ntotal_dynamic_pj=" << obs::jsonNumberExact(
                      s.totalDynamicPj())
@@ -666,20 +545,16 @@ std::vector<std::string>
 reconcile(const Stream &s)
 {
     std::vector<std::string> errors;
-    auto expect = [&errors](bool ok, const std::string &msg) {
-        if (!ok)
-            errors.push_back(msg);
-    };
-
-    if (!s.haveSummary) {
+    if (!s.summary) {
         errors.push_back("stream has no trailing summary record "
                          "(torn run?)");
         return errors;
     }
-    if (s.sampleEvery > 1) {
-        errors.push_back(
-            "stream was sampled (1-in-" + std::to_string(s.sampleEvery) +
-            "); reconciliation requires --prov-sample=1");
+    const obs::ProvSummary &summary = *s.summary;
+    if (summary.sampleEvery > 1) {
+        errors.push_back("stream was sampled (1-in-" +
+                         std::to_string(summary.sampleEvery) +
+                         "); reconciliation requires --prov-sample=1");
         return errors;
     }
     if (s.torn) {
@@ -688,125 +563,59 @@ reconcile(const Stream &s)
         return errors;
     }
 
-    expect(s.eventLines == s.eventsWritten,
-           "stream holds " + std::to_string(s.eventLines) +
-               " event lines but the summary counted " +
-               std::to_string(s.eventsWritten) + " written");
-    expect(s.translationEvents == s.translations,
-           "stream holds " + std::to_string(s.translationEvents) +
-               " translation events but the run made " +
-               std::to_string(s.translations) + " translations");
-
-    const obs::JsonValue *cores = s.summary.find("cores");
-    if (!cores || !cores->isArray()) {
-        errors.push_back("summary record has no cores array");
-        return errors;
-    }
-    for (const auto &co : cores->array) {
-        const unsigned c = static_cast<unsigned>(count(co, "core"));
-        const std::string tag = "core " + std::to_string(c) + " ";
-
-        // Per-structure exact agreement. The summary omits untouched
-        // structures, so walk its rows and separately confirm our
-        // aggregation has no activity the summary lacks.
-        std::array<bool, obs::kProvMeteredStructs> inSummary{};
-        const obs::JsonValue *structs = co.find("structs");
-        if (structs && structs->isArray()) {
-            for (const auto &so : structs->array) {
-                const obs::ProvStruct id =
-                    obs::provStructFromName(str(so, "s"));
-                const auto idx = static_cast<unsigned>(id);
-                if (idx >= obs::kProvMeteredStructs) {
-                    errors.push_back(tag + "summary row with unknown "
-                                           "structure '" +
-                                     str(so, "s") + "'");
-                    continue;
-                }
-                inSummary[idx] = true;
-                const auto &t = c < s.cores.size()
-                                    ? s.cores[c].structs[idx]
-                                    : obs::ProvStructTotals{};
-                const std::string name(obs::provStructName(id));
-                expect(t.reads == count(so, "reads"),
-                       tag + name + ": event reads " +
-                           std::to_string(t.reads) + " != summary " +
-                           std::to_string(count(so, "reads")));
-                expect(t.writes == count(so, "writes"),
-                       tag + name + ": event writes " +
-                           std::to_string(t.writes) + " != summary " +
-                           std::to_string(count(so, "writes")));
-                expect(t.evicts == count(so, "evicts"),
-                       tag + name + ": event evicts " +
-                           std::to_string(t.evicts) + " != summary " +
-                           std::to_string(count(so, "evicts")));
-                expect(t.readPj == num(so, "read_pj"),
-                       tag + name + ": event read energy " +
-                           obs::jsonNumberExact(t.readPj) +
-                           " pJ != summary " +
-                           obs::jsonNumberExact(num(so, "read_pj")) +
-                           " pJ (exact)");
-                expect(t.writePj == num(so, "write_pj"),
-                       tag + name + ": event write energy " +
-                           obs::jsonNumberExact(t.writePj) +
-                           " pJ != summary " +
-                           obs::jsonNumberExact(num(so, "write_pj")) +
-                           " pJ (exact)");
-            }
+    auto counts = [&errors](const std::string &where, const char *what,
+                            std::uint64_t event, std::uint64_t total) {
+        if (event != total)
+            errors.push_back(where + ": event " + what + " " +
+                             std::to_string(event) + " != summary " +
+                             std::to_string(total));
+    };
+    auto energies = [&errors](const std::string &where, const char *what,
+                              PicoJoules event, PicoJoules total) {
+        if (event != total)
+            errors.push_back(where + ": event " + what + " energy " +
+                             obs::jsonNumberExact(event) +
+                             " pJ != summary " +
+                             obs::jsonNumberExact(total) + " pJ (exact)");
+    };
+    // A core or structure one side lacks is a zero book there.
+    static const obs::ProvCoreTotals kZero{};
+    const std::size_t cores = std::max(s.cores.size(), summary.cores.size());
+    for (std::size_t c = 0; c < cores; ++c) {
+        const auto &event = c < s.cores.size() ? s.cores[c] : kZero;
+        const auto &total =
+            c < summary.cores.size() ? summary.cores[c] : kZero;
+        const std::string tag = "core " + std::to_string(c);
+        for (unsigned i = 0; i < obs::kProvMeteredStructs; ++i) {
+            const std::string where =
+                tag + " " +
+                std::string(obs::provStructName(
+                    static_cast<obs::ProvStruct>(i)));
+            const obs::ProvStructTotals &e = event.structs[i];
+            const obs::ProvStructTotals &t = total.structs[i];
+            counts(where, "reads", e.reads, t.reads);
+            counts(where, "writes", e.writes, t.writes);
+            counts(where, "evicts", e.evicts, t.evicts);
+            energies(where, "read", e.readPj, t.readPj);
+            energies(where, "write", e.writePj, t.writePj);
         }
-        if (c < s.cores.size()) {
-            for (unsigned i = 0; i < obs::kProvMeteredStructs; ++i) {
-                const auto &t = s.cores[c].structs[i];
-                if (inSummary[i] ||
-                    (t.reads == 0 && t.writes == 0 && t.evicts == 0))
-                    continue;
-                errors.push_back(
-                    tag + "events touch " +
-                    std::string(obs::provStructName(
-                        static_cast<obs::ProvStruct>(i))) +
-                    " but the summary has no row for it");
-            }
-        }
-
-        // The canonical re-sum of the *events* (not the parsed summary
-        // totals best() would prefer) in meter order.
-        PicoJoules eventDynamicPj = 0.0;
-        if (c < s.cores.size())
-            for (const auto &st : s.cores[c].structs)
-                eventDynamicPj += st.readPj + st.writePj;
-        expect(eventDynamicPj == num(co, "dynamic_pj"),
-               tag + "canonical dynamic energy " +
-                   obs::jsonNumberExact(eventDynamicPj) +
-                   " pJ != summary " +
-                   obs::jsonNumberExact(num(co, "dynamic_pj")) +
-                   " pJ (exact)");
-        const std::uint64_t shootdowns =
-            c < s.cores.size() ? s.cores[c].shootdowns : 0;
-        const PicoJoules shootdownPj =
-            c < s.cores.size() ? s.cores[c].shootdownPj : 0.0;
-        expect(shootdowns == count(co, "shootdowns"),
-               tag + "event shootdowns " + std::to_string(shootdowns) +
-                   " != summary " +
-                   std::to_string(count(co, "shootdowns")));
-        expect(shootdownPj == num(co, "shootdown_pj"),
-               tag + "event shootdown energy " +
-                   obs::jsonNumberExact(shootdownPj) +
-                   " pJ != summary " +
-                   obs::jsonNumberExact(num(co, "shootdown_pj")) +
-                   " pJ (exact)");
-        const std::uint64_t cohProbes =
-            c < s.cores.size() ? s.cores[c].cohProbes : 0;
-        const PicoJoules cohPj =
-            c < s.cores.size() ? s.cores[c].cohPj : 0.0;
-        expect(cohProbes == count(co, "coh_probes"),
-               tag + "event coherence probes " +
-                   std::to_string(cohProbes) + " != summary " +
-                   std::to_string(count(co, "coh_probes")));
-        expect(cohPj == num(co, "coh_pj"),
-               tag + "event coherence energy " +
-                   obs::jsonNumberExact(cohPj) + " pJ != summary " +
-                   obs::jsonNumberExact(num(co, "coh_pj")) +
-                   " pJ (exact)");
+        counts(tag, "shootdowns", event.shootdowns, total.shootdowns);
+        energies(tag, "shootdown", event.shootdownPj, total.shootdownPj);
+        counts(tag, "coherence probes", event.cohProbes, total.cohProbes);
+        energies(tag, "coherence", event.cohPj, total.cohPj);
     }
+
+    if (s.eventLines != summary.eventsWritten)
+        errors.push_back("stream holds " + std::to_string(s.eventLines) +
+                         " event lines but the summary counted " +
+                         std::to_string(summary.eventsWritten) +
+                         " written");
+    if (s.translationEvents != summary.translations)
+        errors.push_back("stream holds " +
+                         std::to_string(s.translationEvents) +
+                         " translation events but the run made " +
+                         std::to_string(summary.translations) +
+                         " translations");
     return errors;
 }
 
