@@ -144,16 +144,19 @@ archiveFailure(const Scenario &scenario, const CampaignOptions &options,
     return path;
 }
 
-/** Judge one final outcome in the parent; fills @p rec and @p summary. */
+/** Judge one final outcome in the parent; fills @p rec and @p summary.
+ *  @p seedFile names the file a replayed scenario came from; a
+ *  generated scenario has none, and its failures are archived. */
 void
 settleVerdict(const campaign::TaskOutcome &outcome,
-              const Scenario &scenario, const CampaignOptions &options,
-              std::ostream &log, CampaignSummary &summary,
-              VerdictRecord &rec, bool archiveFailures)
+              const Scenario &scenario, const std::string &seedFile,
+              const CampaignOptions &options, std::ostream &log,
+              CampaignSummary &summary, VerdictRecord &rec)
 {
     using campaign::FailureClass;
     rec.id = scenario.id;
     rec.scenario = scenario.describe();
+    rec.seedFile = seedFile;
     rec.failureClass =
         std::string(campaign::failureClassName(outcome.failure));
     rec.exitCode = outcome.exitCode;
@@ -206,23 +209,13 @@ settleVerdict(const campaign::TaskOutcome &outcome,
     }
     log << "scenario " << scenario.id << " " << rec.status << ": "
         << rec.violations << "\n  " << rec.scenario << "\n";
-    if (rec.status == "fail") {
-        ++summary.failed;
-        if (archiveFailures) {
-            // Only oracle failures shrink: the scenario demonstrably
-            // runs to completion, so in-parent re-runs are safe.
-            rec.seedFile =
-                archiveFailure(scenario, options, true,
-                               outcome.fromCheckpoint, log, summary);
-        }
-    } else {
-        ++summary.crashed;
-        if (archiveFailures) {
-            rec.seedFile =
-                archiveFailure(scenario, options, false,
-                               outcome.fromCheckpoint, log, summary);
-        }
-    }
+    const bool failed = rec.status == "fail";
+    ++(failed ? summary.failed : summary.crashed);
+    // Only oracle failures shrink: the scenario demonstrably runs to
+    // completion, so in-parent re-runs are safe.
+    if (seedFile.empty())
+        rec.seedFile = archiveFailure(scenario, options, failed,
+                                      outcome.fromCheckpoint, log, summary);
 }
 
 Result<std::ofstream>
@@ -235,6 +228,95 @@ openVerdicts(const std::string &path)
     if (!out)
         return Status::error("cannot write verdicts to '", path, "'");
     return out;
+}
+
+/**
+ * Judge @p scenarios on the campaign engine, one child each, and write
+ * their verdicts in order. @p seedFiles[i] names the file scenario i
+ * was loaded from, or is empty for a generated one (see settleVerdict);
+ * it also keys the task. @p engine carries the caller's journal
+ * settings; the job count, watchdog and retry budget come from
+ * @p options.
+ */
+Result<CampaignSummary>
+judgeScenarios(const std::vector<Scenario> &scenarios,
+               const std::vector<std::string> &seedFiles,
+               campaign::EngineOptions engine,
+               const CampaignOptions &options, std::ostream &log)
+{
+    auto verdicts = openVerdicts(options.verdictsPath);
+    if (!verdicts.ok())
+        return verdicts.status();
+
+    std::vector<campaign::EngineTask> tasks;
+    tasks.reserve(scenarios.size());
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+        const Scenario &scenario = scenarios[i];
+        tasks.push_back({seedFiles[i].empty()
+                             ? "scenario-" + std::to_string(scenario.id)
+                             : seedFiles[i],
+                         [scenario] { return judgeScenario(scenario); }});
+    }
+
+    CampaignSummary summary;
+    summary.scenarios = scenarios.size();
+    std::uint64_t completed = 0;
+
+    // Verdicts are emitted in task order whatever the job count:
+    // settled records buffer here until every earlier task has settled
+    // too, so the verdict file of a parallel, killed, and resumed
+    // campaign is byte-identical to a serial uninterrupted one. (A kill
+    // loses only buffered-not-yet-written verdicts, and those replay
+    // from the journal on resume.)
+    std::vector<VerdictRecord> buffered(scenarios.size());
+    std::vector<char> settled(scenarios.size(), 0);
+    std::size_t nextToWrite = 0;
+
+    engine.jobs = options.jobs;
+    engine.timeoutSeconds = options.timeoutSeconds;
+    engine.retry.maxRetries = options.retries;
+    engine.payloadOk = [](const std::string &payload) {
+        const auto parsed = obs::parseJson(payload);
+        const obs::JsonValue *passed =
+            parsed.ok() ? parsed.value().find("passed") : nullptr;
+        return passed != nullptr && passed->isBool();
+    };
+    // Any settled verdict satisfies its scenario on resume: a crash or
+    // timeout is a result worth keeping, not work to redo.
+    engine.acceptCheckpoint = [](const campaign::TaskOutcome &) {
+        return true;
+    };
+
+    const auto engineRun = campaign::runEngine(
+        engine, tasks,
+        [&](std::size_t index, const campaign::TaskOutcome &outcome,
+            std::size_t inFlight) {
+            VerdictRecord &rec = buffered[index];
+            settleVerdict(outcome, scenarios[index], seedFiles[index],
+                          options, log, summary, rec);
+            settled[index] = 1;
+            while (nextToWrite < settled.size() &&
+                   settled[nextToWrite]) {
+                writeVerdict(verdicts.value(), buffered[nextToWrite]);
+                ++nextToWrite;
+            }
+            ++completed;
+            if (completed % 25 == 0 || completed == scenarios.size()) {
+                log << "[" << completed << "/" << scenarios.size() << "] "
+                    << summary.passed << " pass, " << summary.failed
+                    << " fail, " << summary.crashed << " crash, "
+                    << inFlight << " in flight\n";
+            }
+            return true;
+        },
+        log);
+    if (!engineRun.ok())
+        return engineRun.status();
+    summary.replayed = engineRun.value().replayed;
+    summary.quarantined = engineRun.value().quarantined;
+    summary.retries = engineRun.value().retries;
+    summary.interruptSignal = engineRun.value().interruptSignal;
+    return summary;
 }
 
 } // namespace
@@ -254,40 +336,13 @@ runCampaign(const CampaignOptions &options, std::ostream &log)
                                  options.corpusDir, "': ", ec.message());
         }
     }
-    auto verdicts = openVerdicts(options.verdictsPath);
-    if (!verdicts.ok())
-        return verdicts.status();
 
     std::vector<Scenario> scenarios;
     scenarios.reserve(options.runs);
     for (std::uint64_t i = 0; i < options.runs; ++i)
         scenarios.push_back(generateScenario(options.seed, i));
 
-    std::vector<campaign::EngineTask> tasks;
-    tasks.reserve(scenarios.size());
-    for (const auto &scenario : scenarios) {
-        tasks.push_back({"scenario-" + std::to_string(scenario.id),
-                         [scenario] { return judgeScenario(scenario); }});
-    }
-
-    CampaignSummary summary;
-    summary.scenarios = options.runs;
-    std::uint64_t completed = 0;
-
-    // Verdicts are emitted in scenario-id order whatever the job
-    // count: settled records buffer here until every lower id has
-    // settled too, so the verdict file of a parallel, killed, and
-    // resumed campaign is byte-identical to a serial uninterrupted
-    // one. (A kill loses only buffered-not-yet-written verdicts, and
-    // those replay from the journal on resume.)
-    std::vector<VerdictRecord> buffered(scenarios.size());
-    std::vector<char> settled(scenarios.size(), 0);
-    std::size_t nextToWrite = 0;
-
     campaign::EngineOptions engine;
-    engine.jobs = options.jobs;
-    engine.timeoutSeconds = options.timeoutSeconds;
-    engine.retry.maxRetries = options.retries;
     engine.journalPath = options.checkpointPath;
     engine.fingerprint = "eatfuzz|v1|seed=" +
                          std::to_string(options.seed) +
@@ -297,50 +352,10 @@ runCampaign(const CampaignOptions &options, std::ostream &log)
     engine.quarantinePath = options.checkpointPath.empty()
                                 ? ""
                                 : options.checkpointPath + ".quarantine";
-    engine.payloadOk = [](const std::string &payload) {
-        const auto parsed = obs::parseJson(payload);
-        const obs::JsonValue *passed =
-            parsed.ok() ? parsed.value().find("passed") : nullptr;
-        return passed != nullptr && passed->isBool();
-    };
-    // Any settled verdict satisfies its scenario on resume: a crash or
-    // timeout is a result worth keeping, not work to redo.
-    engine.acceptCheckpoint = [](const campaign::TaskOutcome &) {
-        return true;
-    };
     engine.killAfterCheckpoints = options.killAfterCells;
-
-    const auto engineRun = campaign::runEngine(
-        engine, tasks,
-        [&](std::size_t index, const campaign::TaskOutcome &outcome,
-            std::size_t inFlight) {
-            VerdictRecord &rec = buffered[index];
-            settleVerdict(outcome, scenarios[index], options, log,
-                          summary, rec, /*archiveFailures=*/true);
-            settled[index] = 1;
-            while (nextToWrite < settled.size() &&
-                   settled[nextToWrite]) {
-                writeVerdict(verdicts.value(), buffered[nextToWrite]);
-                ++nextToWrite;
-            }
-            ++completed;
-            if (completed % 25 == 0 || completed == options.runs) {
-                log << "[" << completed << "/" << options.runs << "] "
-                    << summary.passed << " pass, " << summary.failed
-                    << " fail, " << summary.crashed << " crash, "
-                    << inFlight << " in flight\n";
-            }
-            return true;
-        },
-        log);
-    if (!engineRun.ok())
-        return engineRun.status();
-    summary.replayed = engineRun.value().replayed;
-    summary.quarantined = engineRun.value().quarantined;
-    summary.retries = engineRun.value().retries;
-    summary.interruptSignal = engineRun.value().interruptSignal;
-
-    return summary;
+    return judgeScenarios(scenarios,
+                          std::vector<std::string>(scenarios.size()),
+                          engine, options, log);
 }
 
 Result<CampaignSummary>
@@ -365,40 +380,16 @@ replayCorpus(const std::string &path, const CampaignOptions &options,
         files.push_back(path);
     }
 
-    auto verdicts = openVerdicts(options.verdictsPath);
-    if (!verdicts.ok())
-        return verdicts.status();
-
-    CampaignSummary summary;
-    summary.scenarios = files.size();
+    std::vector<Scenario> scenarios;
     for (const auto &file : files) {
-        const auto loaded = loadScenario(file);
+        auto loaded = loadScenario(file);
         if (!loaded.ok())
             return loaded.status();
-        const auto &scenario = loaded.value();
-        log << "replay " << file << ": " << scenario.describe() << "\n";
-
-        // In-process: corpus seeds are known-small shrunk repro
-        // recipes, and a crash here should fail the replay loudly.
-        const auto verdict = runOracles(scenario);
-        VerdictRecord rec;
-        rec.id = scenario.id;
-        rec.scenario = scenario.describe();
-        rec.status = verdict.passed() ? "pass" : "fail";
-        rec.checked = join(verdict.checked, ",");
-        rec.violations = join(verdict.violations, "; ");
-        rec.digest = verdict.digest;
-        rec.seedFile = file;
-        writeVerdict(verdicts.value(), rec);
-
-        if (verdict.passed()) {
-            ++summary.passed;
-        } else {
-            ++summary.failed;
-            log << "  FAIL: " << rec.violations << "\n";
-        }
+        log << "replay " << file << ": " << loaded.value().describe()
+            << "\n";
+        scenarios.push_back(std::move(loaded.value()));
     }
-    return summary;
+    return judgeScenarios(scenarios, files, {}, options, log);
 }
 
 Status

@@ -128,8 +128,12 @@ Result<CampaignSummary> runCampaign(const CampaignOptions &options,
 
 /**
  * Re-judge saved seed files: @p path is one seed file or a directory
- * whose *.json files are all replayed (in name order). Campaign
- * options other than seed/runs apply.
+ * whose *.json files are all replayed (in name order). Each seed runs
+ * in its own child on the campaign engine, as a campaign's scenarios
+ * do, so a seed that crashes or hangs gets a verdict and the rest still
+ * run. jobs, timeoutSeconds, retries and verdictsPath apply; each
+ * verdict's seed_file names its file. Replay archives nothing, and the
+ * checkpoint, resume and kill-after settings are campaign-only.
  */
 Result<CampaignSummary> replayCorpus(const std::string &path,
                                      const CampaignOptions &options,

@@ -2,7 +2,8 @@
  * @file
  * The QA subsystem's own tests: scenario serialization, generator
  * validity and determinism, shrinker behavior, oracle self-test, and
- * replay of the checked-in seed corpus.
+ * replay of seed files: the checked-in corpus, and a directory whose
+ * hanging seed times out while the seeds after it still get verdicts.
  *
  * EAT_CORPUS_DIR (a compile definition) points at tests/corpus, the
  * seed files CI replays; keeping the replay inside ctest means a plain
@@ -17,10 +18,12 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mc/mc_simulator.hh"
+#include "obs/json.hh"
 #include "qa/campaign.hh"
 #include "qa/generator.hh"
 #include "qa/oracles.hh"
@@ -388,6 +391,47 @@ TEST(QaCampaign, ReplaysTheCheckedInCorpusClean)
     EXPECT_GE(summary.value().scenarios, 6u)
         << "corpus unexpectedly small; see " << EAT_CORPUS_DIR;
     EXPECT_TRUE(summary.value().clean()) << log.str();
+}
+
+TEST(QaCampaign, ReplayGivesEverySeedAVerdictUnderTheWatchdog)
+{
+    // A seed that hangs costs its own child, not the replay: the seeds
+    // after it still get their verdicts, in file order.
+    const std::string dir = test::scratchDir();
+    const std::string corpus = std::string(EAT_CORPUS_DIR) + "/";
+    auto thp = qa::loadScenario(corpus + "seed-thp.json");
+    ASSERT_TRUE(thp.ok()) << thp.status().message();
+    const std::vector<std::string> files = {
+        dir + "1-seed-thp.json", dir + "2-seed-thp-long.json",
+        dir + "3-seed-rmm.json"};
+    ASSERT_TRUE(qa::saveScenario(thp.value(), files[0]).ok());
+    thp.value().simInstructions = 1'000'000'000;
+    ASSERT_TRUE(qa::saveScenario(thp.value(), files[1]).ok());
+    const auto rmm = qa::loadScenario(corpus + "seed-rmm.json");
+    ASSERT_TRUE(rmm.ok()) << rmm.status().message();
+    ASSERT_TRUE(qa::saveScenario(rmm.value(), files[2]).ok());
+
+    qa::CampaignOptions options;
+    options.timeoutSeconds = 1;
+    options.verdictsPath = dir + "verdicts.jsonl";
+    std::ostringstream log;
+    const auto summary = qa::replayCorpus(dir, options, log);
+    ASSERT_TRUE(summary.ok()) << summary.status().message();
+    EXPECT_EQ(summary.value().scenarios, 3u) << log.str();
+    EXPECT_EQ(summary.value().passed, 2u) << log.str();
+    EXPECT_EQ(summary.value().crashed, 1u) << log.str();
+
+    std::ifstream in(options.verdictsPath);
+    std::vector<std::pair<std::string, std::string>> verdicts;
+    for (std::string line; std::getline(in, line);) {
+        const auto o = obs::parseJson(line);
+        ASSERT_TRUE(o.ok()) << line;
+        verdicts.emplace_back(o.value().find("status")->string,
+                              o.value().find("seed_file")->string);
+    }
+    const std::vector<std::pair<std::string, std::string>> expected = {
+        {"pass", files[0]}, {"timeout", files[1]}, {"pass", files[2]}};
+    EXPECT_EQ(verdicts, expected) << log.str();
 }
 
 } // namespace

@@ -5,7 +5,8 @@
  *   eatfuzz [--runs=N] [--seed=N] [-jN | --jobs=N] [--timeout=SECONDS]
  *           [--corpus-dir=DIR] [--verdicts=PATH] [--no-shrink]
  *           [--retries=N] [--checkpoint=PATH] [--resume]
- *   eatfuzz --replay=PATH_OR_DIR [--verdicts=PATH]
+ *   eatfuzz --replay=PATH_OR_DIR [-jN] [--timeout=SECONDS] [--retries=N]
+ *           [--verdicts=PATH]
  *   eatfuzz --shrink=SEEDFILE [--corpus-dir=DIR]
  *   eatfuzz --self-test
  *
@@ -26,9 +27,10 @@
  * going. SIGINT/SIGTERM stop dispatch cleanly and leave resumable
  * state.
  *
- * --replay re-judges saved seed files (regression mode); --shrink
- * minimizes one known-failing seed; --self-test proves the oracles
- * catch deliberately seeded defects.
+ * --replay re-judges saved seed files (regression mode) on the same
+ * engine, one child per seed file, under -j, --timeout and --retries;
+ * --shrink minimizes one known-failing seed; --self-test proves the
+ * oracles catch deliberately seeded defects.
  */
 
 #include <cstdio>
@@ -55,7 +57,8 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [options]\n"
-        "       %s --replay=PATH_OR_DIR [--verdicts=PATH]\n"
+        "       %s --replay=PATH_OR_DIR [-jN] [--timeout=SECONDS]\n"
+        "                 [--retries=N] [--verdicts=PATH]\n"
         "       %s --shrink=SEEDFILE [--corpus-dir=DIR]\n"
         "       %s --self-test\n"
         "\n"
