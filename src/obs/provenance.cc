@@ -449,6 +449,8 @@ provSummaryFromJson(const JsonValue &json)
 
     ProvSummary s;
     s.sampleEvery = in.count(json, "sample_every");
+    if (s.sampleEvery == 0)
+        in.fail("'sample_every' is 0");
     s.translations = in.count(json, "translations");
     s.translationsSampled = in.count(json, "translations_sampled");
     s.events = in.count(json, "events");

@@ -280,8 +280,9 @@ std::string provSummaryToJson(const ProvSummary &summary);
  * Parse an eat.prov.summary record: the exact inverse of
  * provSummaryToJson(), every count and double and histogram bucket.
  * A structure without a row reads zero. Refused: a wrong schema or
- * version, a missing or non-integer count, an unknown structure name,
- * and a core whose dynamic_pj is not canonicalDynamicPj() of its rows.
+ * version, a missing or non-integer count, a zero sample rate, a core
+ * listed out of its position, an unknown structure name, and a core
+ * whose dynamic_pj is not canonicalDynamicPj() of its rows.
  */
 Result<ProvSummary> provSummaryFromJson(const JsonValue &json);
 

@@ -296,14 +296,17 @@ TEST(Provenance, SummaryParsesBackBitForBit)
     expectSameHistogram(b.reuseDistance, s.reuseDistance, "reuse");
     expectSameHistogram(b.shootdownFanout, s.shootdownFanout, "fanout");
 
-    // Refused: a wrong schema, an unknown structure, and a dynamic_pj
-    // that is not its rows' sum.
+    // Refused: a wrong schema, a zero sample rate, an unknown
+    // structure, and a dynamic_pj that is not its rows' sum.
     const std::string dynamicPj =
         "\"dynamic_pj\":" +
         obs::jsonNumberExact(s.cores[0].canonicalDynamicPj());
     for (const auto &[bad, why] :
          {std::pair{replaced(json, "eat.prov.summary", "eat.prov.event"),
                     "schema"},
+          std::pair{replaced(json, "\"sample_every\":1,",
+                             "\"sample_every\":0,"),
+                    "'sample_every' is 0"},
           std::pair{replaced(json, "\"l1_tlb_4k\"", "\"l1_tlb_8k\""),
                     "unknown structure 'l1_tlb_8k'"},
           std::pair{replaced(json, dynamicPj, "\"dynamic_pj\":1"),
