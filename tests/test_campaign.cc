@@ -15,9 +15,12 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -505,6 +508,118 @@ TEST(CampaignEngine, ResumeUnderADifferentFingerprintFails)
     ASSERT_FALSE(resumed.ok());
     EXPECT_NE(resumed.status().message().find("different campaign"),
               std::string::npos);
+}
+
+TEST(CampaignEngine, ClassifiesEveryWayAChildCanEnd)
+{
+    // One real child per class the pool and the engine can give a task
+    // that ran: all five in flight at once under a 1 s watchdog.
+    std::vector<EngineTask> tasks;
+    tasks.push_back({"clean", [] { return std::string("good"); }});
+    tasks.push_back({"rejected", [] { return std::string("bad"); }});
+    tasks.push_back({"throws", []() -> std::string {
+        throw std::runtime_error("task threw");
+    }});
+    tasks.push_back({"killed", []() -> std::string {
+        ::raise(SIGKILL);
+        return "unreachable";
+    }});
+    tasks.push_back({"hangs", []() -> std::string {
+        ::sleep(60);
+        return "unreachable";
+    }});
+
+    EngineOptions options;
+    options.jobs = 5;
+    options.timeoutSeconds = 1;
+    options.payloadOk = [](const std::string &payload) {
+        return payload == "good";
+    };
+
+    std::vector<TaskOutcome> outcomes(tasks.size());
+    std::ostringstream log;
+    const auto run = runEngine(
+        options, tasks,
+        [&outcomes](std::size_t index, const TaskOutcome &outcome,
+                    std::size_t) {
+            outcomes[index] = outcome;
+            return true;
+        },
+        log);
+    ASSERT_TRUE(run.ok()) << run.status().message();
+    EXPECT_EQ(run.value().executed, 5u);
+    EXPECT_EQ(run.value().retries, 0u);
+
+    EXPECT_EQ(outcomes[0].failure, FailureClass::None);
+    EXPECT_EQ(outcomes[0].payload, "good");
+    EXPECT_EQ(outcomes[1].failure, FailureClass::BadPayload);
+    EXPECT_EQ(outcomes[1].payload, "bad");
+    EXPECT_EQ(outcomes[2].failure, FailureClass::NonzeroExit);
+    EXPECT_EQ(outcomes[2].exitCode, 125);
+    EXPECT_EQ(outcomes[3].failure, FailureClass::Crashed);
+    EXPECT_EQ(outcomes[3].termSignal, SIGKILL);
+    EXPECT_EQ(outcomes[4].failure, FailureClass::TimedOut);
+    EXPECT_EQ(describeFailure(outcomes[4], options.timeoutSeconds),
+              "killed by the 1s watchdog");
+    for (const auto &outcome : outcomes)
+        EXPECT_EQ(outcome.attempts, 1u);
+}
+
+TEST(CampaignEngine, AFailedPipeIsASpawnFailure)
+{
+    // pipe() needs two free descriptors. A test child that caps its own
+    // descriptor limit at its lowest free descriptor has none, so every
+    // spawn fails with EMFILE before a task process exists. The child
+    // reports what it saw as a bit mask in its exit status.
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        const int lowest = ::open("/dev/null", O_RDONLY);
+        if (lowest < 0)
+            ::_exit(64);
+        ::close(lowest);
+        struct rlimit limit = {};
+        ::getrlimit(RLIMIT_NOFILE, &limit);
+        limit.rlim_cur = static_cast<rlim_t>(lowest);
+        if (::setrlimit(RLIMIT_NOFILE, &limit) != 0)
+            ::_exit(65);
+
+        std::vector<EngineTask> tasks;
+        tasks.push_back({"unspawnable", [] { return std::string("x"); }});
+        EngineOptions options;
+        options.jobs = 1;
+        options.retry.maxRetries = 1;
+        options.retry.backoffBaseMs = 1;
+        std::size_t calls = 0;
+        TaskOutcome seen;
+        std::ostringstream log;
+        const auto run = runEngine(
+            options, tasks,
+            [&](std::size_t, const TaskOutcome &outcome, std::size_t) {
+                seen = outcome;
+                ++calls;
+                return true;
+            },
+            log);
+        int bits = 0;
+        if (!run.ok() || run.value().retries != 1)
+            bits |= 1;
+        if (calls != 1 || seen.failure != FailureClass::SpawnFailed)
+            bits |= 2;
+        if (seen.spawnError.rfind("pipe() failed", 0) != 0)
+            bits |= 4;
+        if (seen.attempts != 2)
+            bits |= 8;
+        ::_exit(bits);
+    }
+
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "64/65: the descriptor cap could not be set; otherwise 1: "
+           "not one retry, 2: not one SpawnFailed outcome, 4: spawn "
+           "error does not start \"pipe() failed\", 8: not 2 attempts";
 }
 
 // ---- batch runner on the engine: retry + quarantine -------------------
