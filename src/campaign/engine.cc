@@ -1,13 +1,17 @@
 #include "campaign/engine.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <ctime>
+#include <limits>
+#include <optional>
 #include <ostream>
 #include <thread>
 #include <unordered_map>
 
+#include "base/parse.hh"
 #include "campaign/journal.hh"
 
 namespace eat::campaign
@@ -76,73 +80,6 @@ interruptibleSleep(unsigned ms, const ShutdownGuard &guard)
     }
 }
 
-std::string
-journalStateName(sim::ProcessPool::TaskState state)
-{
-    using TaskState = sim::ProcessPool::TaskState;
-    switch (state) {
-      case TaskState::Done: return "done";
-      case TaskState::Crashed: return "signal";
-      case TaskState::TimedOut: return "timeout";
-      case TaskState::SpawnFailed: return "spawn-failed";
-    }
-    return "unknown";
-}
-
-Result<sim::ProcessPool::TaskState>
-parseJournalState(const std::string &name)
-{
-    using TaskState = sim::ProcessPool::TaskState;
-    for (const TaskState state :
-         {TaskState::Done, TaskState::Crashed, TaskState::TimedOut,
-          TaskState::SpawnFailed}) {
-        if (name == journalStateName(state))
-            return state;
-    }
-    return Status::error("unknown journal state '", name, "'");
-}
-
-JournalEntry
-toJournalEntry(const std::string &key, const TaskOutcome &outcome)
-{
-    JournalEntry entry;
-    entry.key = key;
-    entry.state = journalStateName(outcome.state);
-    entry.exitCode = outcome.exitCode;
-    entry.termSignal = outcome.termSignal;
-    entry.attempts = outcome.attempts;
-    entry.quarantined = outcome.quarantined;
-    entry.error = outcome.spawnError;
-    entry.payload = outcome.payload;
-    return entry;
-}
-
-Result<TaskOutcome>
-fromJournalEntry(const JournalEntry &entry,
-                 const EngineOptions &options)
-{
-    const auto state = parseJournalState(entry.state);
-    if (!state.ok())
-        return state.status();
-    TaskOutcome outcome;
-    outcome.state = state.value();
-    outcome.payload = entry.payload;
-    outcome.termSignal = entry.termSignal;
-    outcome.exitCode = entry.exitCode;
-    outcome.spawnError = entry.error;
-    outcome.attempts = entry.attempts;
-    outcome.quarantined = entry.quarantined;
-    outcome.fromCheckpoint = true;
-    const bool payloadGood =
-        !options.payloadOk || options.payloadOk(outcome.payload);
-    outcome.failure = classify(
-        sim::ProcessPool::TaskResult{outcome.state, outcome.payload,
-                                     outcome.termSignal, outcome.exitCode,
-                                     outcome.spawnError},
-        payloadGood);
-    return outcome;
-}
-
 } // namespace
 
 unsigned
@@ -152,6 +89,82 @@ effectiveJobs(unsigned requested)
         return requested;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
+}
+
+Result<unsigned>
+parseJobs(std::string_view text)
+{
+    const auto parsed = parseU64(text);
+    if (!parsed.ok())
+        return Status::error("jobs: ", parsed.status().message());
+    const std::uint64_t v = parsed.value();
+    if (v == 0)
+        return Status::error("jobs: must be at least 1");
+    const unsigned hw =
+        std::max(1u, std::thread::hardware_concurrency());
+    const std::uint64_t cap = 4ull * hw;
+    if (v > cap) {
+        return Status::error("jobs: ", v, " exceeds 4 x hardware "
+                             "concurrency (cap ", cap, "); more children "
+                             "than that only add scheduler churn");
+    }
+    return static_cast<unsigned>(v);
+}
+
+Result<bool>
+takeEngineFlag(std::string_view arg, EngineOptions &options)
+{
+    // The text after @p prefix, or nothing when @p arg is another flag.
+    const auto value =
+        [arg](std::string_view prefix) -> std::optional<std::string_view> {
+        if (!arg.starts_with(prefix))
+            return std::nullopt;
+        return arg.substr(prefix.size());
+    };
+    // A count that must fit the unsigned field it lands in.
+    const auto count = [](std::string_view flag, std::string_view text,
+                          unsigned &field) -> Result<bool> {
+        const auto parsed = parseU64(text);
+        if (!parsed.ok())
+            return Status::error(flag, ": ", parsed.status().message());
+        if (parsed.value() > std::numeric_limits<unsigned>::max())
+            return Status::error(flag, ": ", parsed.value(),
+                                 " is out of range");
+        field = static_cast<unsigned>(parsed.value());
+        return true;
+    };
+
+    if (arg == "--resume") {
+        options.resume = true;
+        return true;
+    }
+    if (const auto text = value("--timeout="))
+        return count("--timeout", *text, options.timeoutSeconds);
+    if (const auto text = value("--kill-after="))
+        return count("--kill-after", *text, options.killAfterCheckpoints);
+    if (const auto text = value("--retries=")) {
+        const auto retries = parseRetries(*text);
+        if (!retries.ok())
+            return Status::error("--", retries.status().message());
+        options.retry.maxRetries = retries.value();
+        return true;
+    }
+    if (const auto text = value("--checkpoint=")) {
+        if (text->empty())
+            return Status::error("--checkpoint: path must not be empty");
+        options.journalPath = std::string(*text);
+        return true;
+    }
+    auto jobsText = value("--jobs=");
+    if (!jobsText)
+        jobsText = value("-j");
+    if (!jobsText)
+        return false;
+    const auto jobs = parseJobs(*jobsText);
+    if (!jobs.ok())
+        return Status::error("--jobs: ", jobs.status().message());
+    options.jobs = jobs.value();
+    return true;
 }
 
 std::string
@@ -193,7 +206,7 @@ runEngine(const EngineOptions &options,
     // Open (or resume) the checkpoint journal.
     CheckpointJournal journal;
     bool journaling = !options.journalPath.empty();
-    std::unordered_map<std::string, JournalEntry> recovered;
+    std::unordered_map<std::string, TaskOutcome> recovered;
     if (journaling) {
         if (options.resume) {
             CheckpointJournal::Recovered state;
@@ -207,7 +220,7 @@ runEngine(const EngineOptions &options,
                     << " (an in-flight record of the killed run)\n";
             }
             for (auto &entry : state.entries)
-                recovered.emplace(entry.key, std::move(entry));
+                recovered.emplace(entry.key, std::move(entry.outcome));
         } else {
             auto created = CheckpointJournal::create(options.journalPath,
                                                      options.fingerprint);
@@ -220,8 +233,10 @@ runEngine(const EngineOptions &options,
     // The quarantine file is created lazily on the first poisoned
     // cell; a stale one from a previous run must not linger and
     // masquerade as this run's.
-    if (!options.quarantinePath.empty() && !options.resume)
-        std::remove(options.quarantinePath.c_str());
+    const std::string quarantinePath =
+        journaling ? options.journalPath + ".quarantine" : "";
+    if (journaling && !options.resume)
+        std::remove(quarantinePath.c_str());
     JsonlWriter quarantine;
 
     const auto acceptCheckpoint =
@@ -242,13 +257,12 @@ runEngine(const EngineOptions &options,
         // already on disk from the original run.
         if (!outcome.fromCheckpoint) {
             outcome.quarantined =
-                outcome.failure != FailureClass::None &&
-                !options.quarantinePath.empty();
+                outcome.failure != FailureClass::None && journaling;
         }
         if (outcome.quarantined && !outcome.fromCheckpoint) {
             if (!quarantine.isOpen()) {
                 auto opened = JsonlWriter::open(
-                    options.quarantinePath,
+                    quarantinePath,
                     options.resume ? JsonlWriter::Mode::Append
                                    : JsonlWriter::Mode::Truncate);
                 if (!opened.ok()) {
@@ -281,8 +295,7 @@ runEngine(const EngineOptions &options,
                 << "\n";
         }
         if (journaling && !outcome.fromCheckpoint) {
-            if (Status s = journal.append(
-                    toJournalEntry(tasks[index].key, outcome));
+            if (Status s = journal.append({tasks[index].key, outcome});
                 !s.ok()) {
                 settleError = s;
                 return false;
@@ -308,15 +321,11 @@ runEngine(const EngineOptions &options,
     for (std::size_t i = 0; i < tasks.size(); ++i) {
         const auto it = recovered.find(tasks[i].key);
         if (it != recovered.end()) {
-            auto outcome = fromJournalEntry(it->second, options);
-            if (!outcome.ok()) {
-                return Status::error("checkpoint journal ",
-                                     options.journalPath, ": ",
-                                     outcome.status().message());
-            }
-            if (acceptCheckpoint(outcome.value())) {
+            TaskOutcome &outcome = it->second;
+            outcome.fromCheckpoint = true;
+            if (acceptCheckpoint(outcome)) {
                 ++summary.replayed;
-                if (!settle(i, outcome.value(), 0)) {
+                if (!settle(i, outcome, 0)) {
                     if (!settleError.ok())
                         return settleError;
                     return summary;
@@ -344,47 +353,31 @@ runEngine(const EngineOptions &options,
                 break;
         }
 
-        std::vector<sim::ProcessPool::TaskFn> fns;
+        std::vector<TaskFn> fns;
         fns.reserve(pending.size());
         for (const std::size_t index : pending)
             fns.push_back(tasks[index].fn);
 
         std::vector<std::size_t> retryNext;
-        sim::ProcessPool::Config poolConfig;
-        poolConfig.jobs = effectiveJobs(options.jobs);
-        poolConfig.timeoutSeconds = options.timeoutSeconds;
-        poolConfig.stopRequested = [&guard] {
-            return guard.signaled() != 0;
-        };
-        sim::ProcessPool::run(
-            poolConfig, fns,
-            [&](std::size_t poolIndex,
-                const sim::ProcessPool::TaskResult &result,
+        runPool(
+            effectiveJobs(options.jobs), options.timeoutSeconds,
+            [&guard] { return guard.signaled() != 0; }, fns,
+            [&](std::size_t poolIndex, TaskOutcome &outcome,
                 std::size_t inFlight) {
                 const std::size_t index = pending[poolIndex];
-                const bool payloadGood =
-                    result.state == sim::ProcessPool::TaskState::Done &&
-                    result.exitCode == 0 &&
-                    (!options.payloadOk ||
-                     options.payloadOk(result.payload));
-                const FailureClass failure =
-                    classify(result, payloadGood);
-                if (isTransient(failure) &&
+                if (outcome.failure == FailureClass::None &&
+                    options.payloadOk && !options.payloadOk(outcome.payload))
+                    outcome.failure = FailureClass::BadPayload;
+                if (isTransient(outcome.failure) &&
                     round < options.retry.maxRetries) {
                     log << "transient: " << tasks[index].key << ": "
-                        << failureClassName(failure) << " (attempt "
-                        << round + 1 << "), will retry\n";
+                        << failureClassName(outcome.failure)
+                        << " (attempt " << round + 1
+                        << "), will retry\n";
                     retryNext.push_back(index);
                     ++summary.retries;
                     return true;
                 }
-                TaskOutcome outcome;
-                outcome.state = result.state;
-                outcome.failure = failure;
-                outcome.payload = result.payload;
-                outcome.termSignal = result.termSignal;
-                outcome.exitCode = result.exitCode;
-                outcome.spawnError = result.spawnError;
                 outcome.attempts = round + 1;
                 ++summary.executed;
                 return settle(index, outcome, inFlight);

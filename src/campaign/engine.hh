@@ -3,9 +3,9 @@
  * The crash-resilient campaign engine.
  *
  * Every campaign-style driver in this repo (the eatbatch sweep runner,
- * the eatfuzz scenario campaign) used to talk to the fork-per-task
- * ProcessPool directly; the engine is the shared layer between them
- * and the pool that makes long campaigns survive the machine:
+ * the eatfuzz scenario campaign and corpus replay) runs on this engine,
+ * which dispatches through the fork-per-task pool (campaign/pool.hh)
+ * and makes long campaigns survive the machine:
  *
  *  - **journaled checkpoints**: every settled task is appended to a
  *    CheckpointJournal (flushed per record), so a kill -9 of the
@@ -18,7 +18,8 @@
  *    failure, signal death, watchdog timeout) are retried up to the
  *    budget with bounded exponential backoff between rounds; whatever
  *    still fails — and every persistent failure — is quarantined into
- *    a poisoned-cell JSONL file with full diagnostics, and the
+ *    a poisoned-cell JSONL file with full diagnostics
+ *    (<journalPath>.quarantine; none without a journal), and the
  *    campaign keeps going.
  *  - **graceful shutdown**: SIGINT/SIGTERM stop dispatch, kill and
  *    reap every in-flight child, leave the journal flushed, and
@@ -39,11 +40,12 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/status.hh"
+#include "campaign/pool.hh"
 #include "campaign/retry.hh"
-#include "sim/proc_pool.hh"
 
 namespace eat::campaign
 {
@@ -60,23 +62,8 @@ struct EngineTask
      *  ("mcf:THP", "scenario-42"). */
     std::string key;
 
-    /** Runs in a forked child; see ProcessPool::TaskFn. */
-    sim::ProcessPool::TaskFn fn;
-};
-
-/** The final word on one task. */
-struct TaskOutcome
-{
-    sim::ProcessPool::TaskState state =
-        sim::ProcessPool::TaskState::SpawnFailed;
-    FailureClass failure = FailureClass::None;
-    std::string payload;    ///< what the child reported (state Done)
-    int termSignal = 0;     ///< killing signal (Crashed)
-    int exitCode = 0;       ///< child exit code (Done)
-    std::string spawnError; ///< which call failed and why (SpawnFailed)
-    unsigned attempts = 1;  ///< total attempts, retries included
-    bool quarantined = false;   ///< recorded in the poisoned-cell file
-    bool fromCheckpoint = false; ///< replayed from the journal
+    /** Runs in a forked child; see campaign::TaskFn. */
+    TaskFn fn;
 };
 
 /**
@@ -101,7 +88,9 @@ struct EngineOptions
     /** Transient-failure retry budget and backoff shape. */
     RetryPolicy retry;
 
-    /** Checkpoint journal path; empty disables checkpointing. */
+    /** Checkpoint journal path; empty disables checkpointing and
+     *  quarantine records. Poisoned cells go to
+     *  "<journalPath>.quarantine". */
     std::string journalPath;
 
     /** Campaign identity for the journal meta record. Resuming under a
@@ -110,9 +99,6 @@ struct EngineOptions
 
     /** Replay the journal before dispatching (requires journalPath). */
     bool resume = false;
-
-    /** Poisoned-cell file; empty disables quarantine records. */
-    std::string quarantinePath;
 
     /** Caller's verdict on a cleanly exited child's payload; a payload
      *  this rejects is a persistent BadPayload failure. Default:
@@ -149,6 +135,23 @@ struct EngineSummary
 /** @p requested jobs (EngineOptions::jobs) with 0 resolved to the
  *  hardware concurrency, at least 1. */
 unsigned effectiveJobs(unsigned requested);
+
+/**
+ * Parse and validate a --jobs/-j value: a decimal count in
+ * [1, 4 x hardware concurrency]. Rejects 0, non-numeric text, and
+ * values beyond that cap (they only add scheduler churn).
+ */
+Result<unsigned> parseJobs(std::string_view text);
+
+/**
+ * Parse @p arg if it is one of the campaign flags every campaign tool
+ * takes: -jN/--jobs=N, --timeout=SECONDS, --retries=N,
+ * --checkpoint=PATH, --resume and --kill-after=N (a testing aid that
+ * sets killAfterCheckpoints).
+ * @return false for any other argument; a bad value fails with
+ * "<flag>: <why>".
+ */
+Result<bool> takeEngineFlag(std::string_view arg, EngineOptions &options);
 
 /**
  * One-line diagnostic of @p outcome's failure class — the wording of

@@ -28,13 +28,13 @@ renderEntry(const JournalEntry &entry)
     json.put("v", kJournalVersion);
     json.put("kind", "cell");
     json.put("key", entry.key);
-    json.put("state", entry.state);
-    json.put("exit", entry.exitCode);
-    json.put("signal", entry.termSignal);
-    json.put("attempts", entry.attempts);
-    json.put("quarantined", entry.quarantined);
-    json.put("error", entry.error);
-    json.put("payload", entry.payload);
+    json.put("class", failureClassName(entry.outcome.failure));
+    json.put("exit", entry.outcome.exitCode);
+    json.put("signal", entry.outcome.termSignal);
+    json.put("attempts", entry.outcome.attempts);
+    json.put("quarantined", entry.outcome.quarantined);
+    json.put("error", entry.outcome.spawnError);
+    json.put("payload", entry.outcome.payload);
     return json.str();
 }
 
@@ -49,25 +49,28 @@ findString(const obs::JsonValue &record, std::string_view key)
 Result<JournalEntry>
 parseEntry(const obs::JsonValue &record)
 {
-    JournalEntry entry;
     const std::string *key = findString(record, "key");
-    const std::string *state = findString(record, "state");
-    if (!key || key->empty() || !state)
-        return Status::error("cell record lacks key/state");
-    entry.key = *key;
-    entry.state = *state;
+    const std::string *cls = findString(record, "class");
+    if (!key || key->empty() || !cls)
+        return Status::error("cell record lacks key/class");
+    const auto failure = parseFailureClass(*cls);
+    if (!failure.ok())
+        return failure.status();
+    JournalEntry entry{*key, {}};
+    TaskOutcome &outcome = entry.outcome;
+    outcome.failure = failure.value();
     if (const auto *v = record.find("exit"); v && v->isNumber())
-        entry.exitCode = static_cast<int>(v->number);
+        outcome.exitCode = static_cast<int>(v->number);
     if (const auto *v = record.find("signal"); v && v->isNumber())
-        entry.termSignal = static_cast<int>(v->number);
+        outcome.termSignal = static_cast<int>(v->number);
     if (const auto *v = record.find("attempts"); v && v->isNumber())
-        entry.attempts = static_cast<unsigned>(v->number);
+        outcome.attempts = static_cast<unsigned>(v->number);
     if (const auto *v = record.find("quarantined"); v && v->isBool())
-        entry.quarantined = v->boolean;
+        outcome.quarantined = v->boolean;
     if (const std::string *s = findString(record, "error"))
-        entry.error = *s;
+        outcome.spawnError = *s;
     if (const std::string *s = findString(record, "payload"))
-        entry.payload = *s;
+        outcome.payload = *s;
     return entry;
 }
 
@@ -119,6 +122,12 @@ CheckpointJournal::load(const std::string &path,
             *kind != "meta") {
             return Status::error("checkpoint journal ", path,
                                  ": not a campaign journal");
+        }
+        const obs::JsonValue *version = records.front().find("v");
+        if (!version || !version->isNumber() ||
+            version->number != kJournalVersion) {
+            return Status::error("checkpoint journal ", path,
+                                 " is not version ", kJournalVersion);
         }
         const std::string *fp = findString(records.front(), "fingerprint");
         if (!fp || *fp != fingerprint) {

@@ -5,25 +5,31 @@
  *
  * Life cycle: a fresh campaign create()s the journal (one "meta"
  * record naming the campaign fingerprint), then append()s one "cell"
- * record — key, final state, diagnostics, and the child's payload —
+ * record — key, failure class, diagnostics, and the child's payload —
  * per settled task, flushed per record. A resumed campaign load()s the
- * journal back: the fingerprint must match (resuming a different grid
- * silently corrupting results is the worst failure mode a checkpoint
- * can have), a truncated final record (the kill -9 signature) is
- * dropped and reported, duplicate keys resolve last-wins, and the file
+ * journal back: the version and the fingerprint must match (resuming a
+ * different grid silently corrupting results is the worst failure mode
+ * a checkpoint can have), a truncated final record (the kill -9
+ * signature) is dropped and reported, duplicate keys resolve last-wins,
+ * and the file
  * is then *compacted* — rewritten through a temp file + rename with
  * only the surviving records — before appending resumes. Compaction
  * keeps the journal O(cells) across any number of interruptions and
  * guarantees the on-disk file is parseable end-to-end again.
  *
- * Record format (schema "eat.campaign.journal", v1), one per line:
+ * Record format (schema "eat.campaign.journal", v2), one per line:
  *
- *   {"schema": "eat.campaign.journal", "v": 1, "kind": "meta",
+ *   {"schema": "eat.campaign.journal", "v": 2, "kind": "meta",
  *    "fingerprint": ...}
- *   {"schema": "eat.campaign.journal", "v": 1, "kind": "cell",
- *    "key": ..., "state": "done"|"signal"|"timeout"|"spawn-failed",
- *    "exit": N, "signal": N, "attempts": N, "quarantined": bool,
- *    "error": ..., "payload": ...}
+ *   {"schema": "eat.campaign.journal", "v": 2, "kind": "cell",
+ *    "key": ..., "class": failureClassName(...), "exit": N,
+ *    "signal": N, "attempts": N, "quarantined": bool, "error": ...,
+ *    "payload": ...}
+ *
+ * v2 records the outcome's failure class where v1 recorded the pool's
+ * task state, so a resumed outcome is exactly the journaled one. A
+ * journal of any other version is refused on load: journals hold one
+ * campaign's state, not results worth migrating.
  */
 
 #ifndef EAT_CAMPAIGN_JOURNAL_HH
@@ -35,25 +41,21 @@
 
 #include "base/status.hh"
 #include "campaign/jsonl.hh"
+#include "campaign/retry.hh"
 
 namespace eat::campaign
 {
 
 /** Schema identifier stamped into every journal record. */
 inline constexpr std::string_view kJournalSchema = "eat.campaign.journal";
-inline constexpr int kJournalVersion = 1;
+inline constexpr int kJournalVersion = 2;
 
-/** One settled task, as the journal records it. */
+/** One settled task, as the journal records it (fromCheckpoint is not
+ *  recorded). */
 struct JournalEntry
 {
-    std::string key;   ///< stable task identity ("mcf:THP", "scenario-7")
-    std::string state; ///< "done", "signal", "timeout", "spawn-failed"
-    int exitCode = 0;
-    int termSignal = 0;
-    unsigned attempts = 1;
-    bool quarantined = false;
-    std::string error;   ///< parent-side diagnostic (spawn errno, ...)
-    std::string payload; ///< everything the child wrote to its pipe
+    std::string key; ///< stable task identity ("mcf:THP", "scenario-7")
+    TaskOutcome outcome;
 };
 
 /** The append-only checkpoint file; see the file comment. */
@@ -80,7 +82,8 @@ class CheckpointJournal
                                             const std::string &fingerprint);
 
     /**
-     * Resume from an existing journal: verify the fingerprint, recover
+     * Resume from an existing journal: verify the version and the
+     * fingerprint, recover
      * the settled entries into @p out, compact the file, and reopen it
      * for appending. A missing file degrades to create() — resuming a
      * campaign that never checkpointed just starts over.

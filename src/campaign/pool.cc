@@ -1,4 +1,4 @@
-#include "sim/proc_pool.hh"
+#include "campaign/pool.hh"
 
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -12,7 +12,7 @@
 #include <optional>
 #include <unistd.h>
 
-namespace eat::sim
+namespace eat::campaign
 {
 
 namespace
@@ -48,7 +48,7 @@ writeAll(int fd, const std::string &s)
  * errno in @p spawnError.
  */
 std::optional<InFlightTask>
-spawnTask(const ProcessPool::TaskFn &task, std::size_t index,
+spawnTask(const TaskFn &task, std::size_t index,
           unsigned timeoutSeconds, const sigset_t &childMask,
           std::string &spawnError)
 {
@@ -99,28 +99,27 @@ spawnTask(const ProcessPool::TaskFn &task, std::size_t index,
 }
 
 /** Drain a reaped child's pipe and classify its exit. */
-ProcessPool::TaskResult
+TaskOutcome
 finishTask(const InFlightTask &task, int status)
 {
-    ProcessPool::TaskResult result;
+    TaskOutcome outcome;
     char buf[4096];
     ssize_t n;
     while ((n = ::read(task.fd, buf, sizeof(buf))) > 0)
-        result.payload.append(buf, static_cast<std::size_t>(n));
+        outcome.payload.append(buf, static_cast<std::size_t>(n));
     ::close(task.fd);
 
     if (task.killed) {
-        result.state = ProcessPool::TaskState::TimedOut;
-        return result;
+        outcome.failure = FailureClass::TimedOut;
+    } else if (WIFSIGNALED(status)) {
+        outcome.failure = FailureClass::Crashed;
+        outcome.termSignal = WTERMSIG(status);
+    } else {
+        outcome.exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : 0;
+        if (outcome.exitCode != 0)
+            outcome.failure = FailureClass::NonzeroExit;
     }
-    if (WIFSIGNALED(status)) {
-        result.state = ProcessPool::TaskState::Crashed;
-        result.termSignal = WTERMSIG(status);
-        return result;
-    }
-    result.state = ProcessPool::TaskState::Done;
-    result.exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : 0;
-    return result;
+    return outcome;
 }
 
 void
@@ -137,13 +136,11 @@ killRemaining(std::vector<InFlightTask> &inFlight)
 } // namespace
 
 bool
-ProcessPool::run(const Config &config, const std::vector<TaskFn> &tasks,
-                 const DoneFn &onDone)
+runPool(unsigned jobs, unsigned timeoutSeconds,
+        const std::function<bool()> &stopRequested,
+        const std::vector<TaskFn> &tasks, const DoneFn &onDone)
 {
-    const unsigned jobs = std::max(1u, config.jobs);
-    const auto stopRequested = [&config] {
-        return config.stopRequested && config.stopRequested();
-    };
+    jobs = std::max(1u, jobs);
 
     // The reaper blocks SIGCHLD and sleeps in sigtimedwait until a
     // child exits (the signal stays pending if one beat us to it, so
@@ -162,7 +159,7 @@ ProcessPool::run(const Config &config, const std::vector<TaskFn> &tasks,
     while (completed < tasks.size()) {
         // A stop request (SIGINT/SIGTERM flag upstream) ends the run:
         // no new children, everything in flight killed and reaped.
-        if (stopRequested()) {
+        if (stopRequested && stopRequested()) {
             killRemaining(inFlight);
             ::sigprocmask(SIG_SETMASK, &previousMask, nullptr);
             return false;
@@ -172,16 +169,16 @@ ProcessPool::run(const Config &config, const std::vector<TaskFn> &tasks,
         while (inFlight.size() < jobs && spawned < tasks.size()) {
             const std::size_t index = spawned++;
             std::string spawnError;
-            auto task = spawnTask(tasks[index], index,
-                                  config.timeoutSeconds, previousMask,
-                                  spawnError);
+            auto task = spawnTask(tasks[index], index, timeoutSeconds,
+                                  previousMask, spawnError);
             if (task) {
                 inFlight.push_back(*task);
             } else {
                 ++completed;
-                TaskResult result;
-                result.spawnError = std::move(spawnError);
-                if (!onDone(index, result, inFlight.size())) {
+                TaskOutcome outcome;
+                outcome.failure = FailureClass::SpawnFailed;
+                outcome.spawnError = std::move(spawnError);
+                if (!onDone(index, outcome, inFlight.size())) {
                     killRemaining(inFlight);
                     ::sigprocmask(SIG_SETMASK, &previousMask, nullptr);
                     return false;
@@ -198,7 +195,7 @@ ProcessPool::run(const Config &config, const std::vector<TaskFn> &tasks,
         auto wait = std::chrono::nanoseconds(std::chrono::hours(1));
         const auto now = std::chrono::steady_clock::now();
         for (const auto &task : inFlight) {
-            if (config.timeoutSeconds == 0)
+            if (timeoutSeconds == 0)
                 break;
             const auto remaining =
                 task.killed
@@ -215,7 +212,7 @@ ProcessPool::run(const Config &config, const std::vector<TaskFn> &tasks,
         ::sigtimedwait(&chldSet, nullptr, &ts); // EAGAIN = deadline
 
         // Enforce watchdog deadlines.
-        if (config.timeoutSeconds > 0) {
+        if (timeoutSeconds > 0) {
             const auto t = std::chrono::steady_clock::now();
             for (auto &task : inFlight) {
                 if (!task.killed && t >= task.deadline) {
@@ -233,11 +230,11 @@ ProcessPool::run(const Config &config, const std::vector<TaskFn> &tasks,
                 ++it;
                 continue;
             }
-            const TaskResult result = finishTask(*it, status);
+            TaskOutcome outcome = finishTask(*it, status);
             const std::size_t index = it->index;
             it = inFlight.erase(it);
             ++completed;
-            if (!onDone(index, result, inFlight.size())) {
+            if (!onDone(index, outcome, inFlight.size())) {
                 killRemaining(inFlight);
                 ::sigprocmask(SIG_SETMASK, &previousMask, nullptr);
                 return false;
@@ -248,4 +245,4 @@ ProcessPool::run(const Config &config, const std::vector<TaskFn> &tasks,
     return true;
 }
 
-} // namespace eat::sim
+} // namespace eat::campaign

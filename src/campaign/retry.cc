@@ -41,25 +41,6 @@ isTransient(FailureClass c)
            c == FailureClass::TimedOut;
 }
 
-FailureClass
-classify(const sim::ProcessPool::TaskResult &result, bool payloadOk)
-{
-    using TaskState = sim::ProcessPool::TaskState;
-    switch (result.state) {
-      case TaskState::SpawnFailed:
-        return FailureClass::SpawnFailed;
-      case TaskState::TimedOut:
-        return FailureClass::TimedOut;
-      case TaskState::Crashed:
-        return FailureClass::Crashed;
-      case TaskState::Done:
-        break;
-    }
-    if (result.exitCode != 0)
-        return FailureClass::NonzeroExit;
-    return payloadOk ? FailureClass::None : FailureClass::BadPayload;
-}
-
 unsigned
 RetryPolicy::backoffMsForRetry(unsigned retry) const
 {

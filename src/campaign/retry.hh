@@ -7,8 +7,9 @@
  * signal kills it (OOM killer, a real crash), the watchdog times it
  * out, it exits nonzero, or it runs fine but reports garbage. Lumping
  * those into one "failed" bucket wastes exactly the information an
- * operator (or the retry machinery) needs, so every completed task is
- * classified here first.
+ * operator (or the retry machinery) needs, so the pool classifies
+ * every ended task by its wait status, and the engine only refines a
+ * clean exit whose payload it rejects.
  *
  * The classes split into two policies:
  *
@@ -27,10 +28,10 @@
 #ifndef EAT_CAMPAIGN_RETRY_HH
 #define EAT_CAMPAIGN_RETRY_HH
 
+#include <string>
 #include <string_view>
 
 #include "base/status.hh"
-#include "sim/proc_pool.hh"
 
 namespace eat::campaign
 {
@@ -55,13 +56,18 @@ Result<FailureClass> parseFailureClass(std::string_view name);
 /** True for classes worth retrying (see the file comment). */
 bool isTransient(FailureClass c);
 
-/**
- * Classify one pool result. @p payloadOk is the caller's verdict on
- * the payload of a cleanly exited child (a payload-level failure is
- * deterministic — BadPayload, not retried).
- */
-FailureClass classify(const sim::ProcessPool::TaskResult &result,
-                      bool payloadOk);
+/** How one task ended: from the pool, the engine, or the journal. */
+struct TaskOutcome
+{
+    FailureClass failure = FailureClass::None;
+    std::string payload;    ///< everything the child wrote to its pipe
+    int termSignal = 0;     ///< killing signal (Crashed)
+    int exitCode = 0;       ///< child exit code (NonzeroExit)
+    std::string spawnError; ///< which call failed and why (SpawnFailed)
+    unsigned attempts = 1;  ///< total attempts, retries included
+    bool quarantined = false;   ///< recorded in the poisoned-cell file
+    bool fromCheckpoint = false; ///< replayed from the journal
+};
 
 /** Hard cap on --retries: beyond this, backoff outlives the campaign. */
 inline constexpr unsigned kMaxRetries = 10;

@@ -43,12 +43,4 @@ CacheCapacityModel::CacheCapacityModel(const CacheCapacityConfig &cfg,
     coeff_.leakage = llc.leakage * reservedFraction();
 }
 
-void
-CacheCapacityModel::setOccupiedLines(std::uint64_t lines)
-{
-    occupiedLines_ = lines < reservedLines_ ? lines : reservedLines_;
-    if (occupiedLines_ > peakOccupiedLines_)
-        peakOccupiedLines_ = occupiedLines_;
-}
-
 } // namespace eat::l3

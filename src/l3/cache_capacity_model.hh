@@ -15,9 +15,7 @@
  *    the entire run (reserved-share model: the tier claims its maximum
  *    footprint up front and never gives it back, a deliberately
  *    conservative assumption that keeps leakage constant and therefore
- *    cacheable by the MMU's leakage memo);
- *  - occupancy is tracked so reports can show how much data capacity
- *    was actually displaced, but it does not modulate energy.
+ *    cacheable by the MMU's leakage memo).
  */
 
 #ifndef EAT_L3_CACHE_CAPACITY_MODEL_HH
@@ -37,7 +35,7 @@ class CactiLite;
 namespace eat::l3
 {
 
-/** Occupancy and energy accounting of TLB-resident LLC lines. */
+/** Energy accounting of TLB-resident LLC lines. */
 class CacheCapacityModel
 {
   public:
@@ -74,20 +72,11 @@ class CacheCapacityModel
         return double(reservedLines_) / double(totalLines());
     }
 
-    /** Record the tier's current footprint (lines holding at least one
-     *  valid translation). Stats only; clamped to reservedLines(). */
-    void setOccupiedLines(std::uint64_t lines);
-
-    std::uint64_t occupiedLines() const { return occupiedLines_; }
-    std::uint64_t peakOccupiedLines() const { return peakOccupiedLines_; }
-
   private:
     CacheCapacityConfig cfg_;
     std::uint64_t reservedLines_;
     unsigned reservedWays_ = 1;
     energy::EnergyCoefficients coeff_{};
-    std::uint64_t occupiedLines_ = 0;
-    std::uint64_t peakOccupiedLines_ = 0;
 };
 
 } // namespace eat::l3

@@ -29,35 +29,19 @@ CacheTlb::fill(const tlb::TlbEntry &entry)
 {
     eat_assert(entry.size == vm::PageSize::Size4K,
                "the cache-resident TLB holds 4KB translations only");
-    const bool evicted = storage_.fill(entry);
-    if (!evicted && validEntries_ < storage_.entries())
-        ++validEntries_;
-    updateOccupancy();
-    return evicted;
+    return storage_.fill(entry);
 }
 
 void
 CacheTlb::invalidateAll()
 {
     storage_.invalidateAll();
-    validEntries_ = 0;
-    updateOccupancy();
 }
 
 unsigned
 CacheTlb::invalidateRange(Addr vbase, Addr vlimit, tlb::Asid asid)
 {
-    const unsigned n = storage_.invalidateRange(vbase, vlimit, asid);
-    validEntries_ = n < validEntries_ ? validEntries_ - n : 0;
-    updateOccupancy();
-    return n;
-}
-
-void
-CacheTlb::updateOccupancy()
-{
-    capacity_.setOccupiedLines(
-        (validEntries_ + cfg_.ptesPerLine - 1) / cfg_.ptesPerLine);
+    return storage_.invalidateRange(vbase, vlimit, asid);
 }
 
 } // namespace eat::l3

@@ -79,21 +79,15 @@ class CacheTlb
     std::uint64_t hits() const { return storage_.hits(); }
     std::uint64_t misses() const { return storage_.misses(); }
     std::uint64_t fills() const { return storage_.fills(); }
-    unsigned validEntries() const { return validEntries_; }
+
+    /** Live entries, counted on demand (O(entries)). */
+    unsigned validCount() const { return storage_.validCount(); }
 
   private:
-    /** Re-derive the LLC-line footprint from the live entry count. */
-    void updateOccupancy();
-
     CacheTlbConfig cfg_;
     CacheCapacityModel capacity_;
     tlb::SetAssocTlb storage_;
     unsigned l2MissStreak_ = 0;
-
-    /** Live-entry estimate maintained incrementally (a full
-     *  SetAssocTlb::validCount() scan per fill would be O(entries)).
-     *  Exact under the MMU's fill-only-after-miss discipline. */
-    unsigned validEntries_ = 0;
 };
 
 } // namespace eat::l3

@@ -191,15 +191,15 @@ settleVerdict(const campaign::TaskOutcome &outcome,
         break;
       case FailureClass::TimedOut:
         rec.status = "timeout";
-        rec.violations =
-            campaign::describeFailure(outcome, options.timeoutSeconds);
+        rec.violations = campaign::describeFailure(
+            outcome, options.engine.timeoutSeconds);
         break;
       case FailureClass::NonzeroExit:
       case FailureClass::Crashed:
       case FailureClass::SpawnFailed:
         rec.status = "crash";
-        rec.violations =
-            campaign::describeFailure(outcome, options.timeoutSeconds);
+        rec.violations = campaign::describeFailure(
+            outcome, options.engine.timeoutSeconds);
         break;
     }
 
@@ -234,9 +234,8 @@ openVerdicts(const std::string &path)
  * Judge @p scenarios on the campaign engine, one child each, and write
  * their verdicts in order. @p seedFiles[i] names the file scenario i
  * was loaded from, or is empty for a generated one (see settleVerdict);
- * it also keys the task. @p engine carries the caller's journal
- * settings; the job count, watchdog and retry budget come from
- * @p options.
+ * it also keys the task. @p engine is the caller's copy of
+ * options.engine; this sets its payloadOk and acceptCheckpoint.
  */
 Result<CampaignSummary>
 judgeScenarios(const std::vector<Scenario> &scenarios,
@@ -272,9 +271,6 @@ judgeScenarios(const std::vector<Scenario> &scenarios,
     std::vector<char> settled(scenarios.size(), 0);
     std::size_t nextToWrite = 0;
 
-    engine.jobs = options.jobs;
-    engine.timeoutSeconds = options.timeoutSeconds;
-    engine.retry.maxRetries = options.retries;
     engine.payloadOk = [](const std::string &payload) {
         const auto parsed = obs::parseJson(payload);
         const obs::JsonValue *passed =
@@ -312,10 +308,7 @@ judgeScenarios(const std::vector<Scenario> &scenarios,
         log);
     if (!engineRun.ok())
         return engineRun.status();
-    summary.replayed = engineRun.value().replayed;
-    summary.quarantined = engineRun.value().quarantined;
-    summary.retries = engineRun.value().retries;
-    summary.interruptSignal = engineRun.value().interruptSignal;
+    summary.engine = engineRun.value();
     return summary;
 }
 
@@ -326,7 +319,7 @@ runCampaign(const CampaignOptions &options, std::ostream &log)
 {
     if (options.runs == 0)
         return Status::error("no scenarios requested");
-    if (options.resume && options.checkpointPath.empty())
+    if (options.engine.resume && options.engine.journalPath.empty())
         return Status::error("resume requires a checkpoint journal");
     if (!options.corpusDir.empty()) {
         std::error_code ec;
@@ -342,17 +335,11 @@ runCampaign(const CampaignOptions &options, std::ostream &log)
     for (std::uint64_t i = 0; i < options.runs; ++i)
         scenarios.push_back(generateScenario(options.seed, i));
 
-    campaign::EngineOptions engine;
-    engine.journalPath = options.checkpointPath;
+    campaign::EngineOptions engine = options.engine;
     engine.fingerprint = "eatfuzz|v1|seed=" +
                          std::to_string(options.seed) +
                          "|runs=" + std::to_string(options.runs) +
                          "|shrink=" + (options.shrink ? "1" : "0");
-    engine.resume = options.resume;
-    engine.quarantinePath = options.checkpointPath.empty()
-                                ? ""
-                                : options.checkpointPath + ".quarantine";
-    engine.killAfterCheckpoints = options.killAfterCells;
     return judgeScenarios(scenarios,
                           std::vector<std::string>(scenarios.size()),
                           engine, options, log);
@@ -389,7 +376,11 @@ replayCorpus(const std::string &path, const CampaignOptions &options,
             << "\n";
         scenarios.push_back(std::move(loaded.value()));
     }
-    return judgeScenarios(scenarios, files, {}, options, log);
+    campaign::EngineOptions engine = options.engine;
+    engine.journalPath.clear();
+    engine.resume = false;
+    engine.killAfterCheckpoints = 0;
+    return judgeScenarios(scenarios, files, engine, options, log);
 }
 
 Status

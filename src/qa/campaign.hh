@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/engine.hh"
 #include "qa/scenario.hh"
 
 namespace eat::qa
@@ -52,17 +53,22 @@ inline constexpr int kVerdictVersion = 2;
 
 struct CampaignOptions
 {
+    CampaignOptions() { engine.timeoutSeconds = 120; }
+
     /** Campaign seed: scenario i is derived from (seed, i). */
     std::uint64_t seed = 1;
 
     /** Number of scenarios to generate and judge. */
     std::uint64_t runs = 100;
 
-    /** Concurrent scenario children; 0 = hardware concurrency. */
-    unsigned jobs = 1;
-
-    /** Per-scenario watchdog; 0 disables it. */
-    unsigned timeoutSeconds = 120;
+    /**
+     * Jobs (one child at a time by default), the per-scenario watchdog
+     * (120 s by default), retries, and the checkpoint journal (none by
+     * default). With a journal, resume replays every settled scenario,
+     * whatever its verdict, instead of re-running it. runCampaign sets
+     * the fingerprint, payloadOk and acceptCheckpoint itself.
+     */
+    campaign::EngineOptions engine;
 
     /** Where failing seeds are archived; empty = do not archive. */
     std::string corpusDir;
@@ -72,23 +78,6 @@ struct CampaignOptions
 
     /** Minimize failing scenarios before archiving them. */
     bool shrink = true;
-
-    /** Checkpoint journal path; empty disables checkpointing. */
-    std::string checkpointPath;
-
-    /** Replay the checkpoint journal before dispatching: scenarios
-     *  already settled (any verdict) are not re-run. Requires
-     *  checkpointPath. */
-    bool resume = false;
-
-    /** Transient-failure retry budget per scenario (spawn failure,
-     *  signal death, watchdog timeout), with bounded exponential
-     *  backoff. What still fails is quarantined, not fatal. */
-    unsigned retries = 0;
-
-    /** Testing aid: SIGKILL this process after N checkpoint appends
-     *  (a deterministic kill -9 for the crash-resume suite); 0 = off. */
-    unsigned killAfterCells = 0;
 };
 
 struct CampaignSummary
@@ -98,26 +87,15 @@ struct CampaignSummary
     std::uint64_t failed = 0;   ///< oracle violations
     std::uint64_t crashed = 0;  ///< child crash, hang, or spawn failure
 
-    /** Scenarios satisfied from the checkpoint journal on resume
-     *  (also counted in passed/failed/crashed). */
-    std::uint64_t replayed = 0;
-
-    /** Scenarios recorded in the poisoned-cell (quarantine) file
-     *  (also counted in crashed). */
-    std::uint64_t quarantined = 0;
-
-    /** Transient-failure retry attempts dispatched. */
-    std::uint64_t retries = 0;
-
-    /** SIGINT/SIGTERM that stopped the campaign; 0 = ran to
-     *  completion. Settled verdicts are checkpointed — rerun with
-     *  resume to finish. */
-    int interruptSignal = 0;
+    /** The engine's counts: scenarios replayed from the checkpoint
+     *  journal (also counted in passed/failed/crashed), scenarios
+     *  quarantined (also counted in crashed), retry attempts, and the
+     *  SIGINT/SIGTERM that stopped the campaign. Settled verdicts are
+     *  checkpointed — rerun with resume to finish. */
+    campaign::EngineSummary engine;
 
     /** Seed files written for failing scenarios. */
     std::vector<std::string> savedSeeds;
-
-    bool interrupted() const { return interruptSignal != 0; }
 
     bool clean() const { return failed == 0 && crashed == 0; }
 };
@@ -131,9 +109,9 @@ Result<CampaignSummary> runCampaign(const CampaignOptions &options,
  * whose *.json files are all replayed (in name order). Each seed runs
  * in its own child on the campaign engine, as a campaign's scenarios
  * do, so a seed that crashes or hangs gets a verdict and the rest still
- * run. jobs, timeoutSeconds, retries and verdictsPath apply; each
- * verdict's seed_file names its file. Replay archives nothing, and the
- * checkpoint, resume and kill-after settings are campaign-only.
+ * run. The engine's jobs, watchdog and retries and verdictsPath apply;
+ * each verdict's seed_file names its file. Replay archives nothing and
+ * clears the journal, resume and kill-after settings.
  */
 Result<CampaignSummary> replayCorpus(const std::string &path,
                                      const CampaignOptions &options,

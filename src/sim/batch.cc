@@ -1,15 +1,14 @@
 #include "sim/batch.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
 #include "base/logging.hh"
-#include "base/parse.hh"
 #include "campaign/engine.hh"
 #include "mc/mix.hh"
 #include "stats/counter.hh"
@@ -195,7 +194,7 @@ finishCell(const campaign::TaskOutcome &outcome, unsigned timeoutSeconds,
 /**
  * Campaign identity for the checkpoint journal: the grid plus every
  * run knob, printed by the knob table. Deliberately excludes the
- * testing aids (failCell, killAfterCells), telemetry paths, and
+ * testing aids (failCell, kill-after), telemetry paths, and
  * scheduling knobs (jobs, timeout, retries) — none of those change
  * what a cell computes, and resume across them must keep working.
  */
@@ -207,39 +206,6 @@ sweepFingerprint(const BatchOptions &options,
     for (const auto &row : rows)
         out += "|" + row.workload + ":" + row.org;
     return out + mc::fingerprint(options.spec);
-}
-
-/** Split one RFC-4180 CSV line into cells. */
-std::vector<std::string>
-parseCsvLine(const std::string &line)
-{
-    std::vector<std::string> cells;
-    std::string cell;
-    bool quoted = false;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-        const char c = line[i];
-        if (quoted) {
-            if (c == '"') {
-                if (i + 1 < line.size() && line[i + 1] == '"') {
-                    cell += '"';
-                    ++i;
-                } else {
-                    quoted = false;
-                }
-            } else {
-                cell += c;
-            }
-        } else if (c == '"') {
-            quoted = true;
-        } else if (c == ',') {
-            cells.push_back(std::move(cell));
-            cell.clear();
-        } else {
-            cell += c;
-        }
-    }
-    cells.push_back(std::move(cell));
-    return cells;
 }
 
 /**
@@ -278,38 +244,6 @@ writeCsvAtomic(const std::string &path, const std::vector<BatchRow> &rows)
 
 } // namespace
 
-std::vector<BatchRow>
-loadBatchRows(const std::string &path)
-{
-    std::vector<BatchRow> rows;
-    std::ifstream in(path);
-    if (!in)
-        return rows;
-    const std::size_t width = batchCsvHeader().size();
-    std::string line;
-    bool first = true;
-    while (std::getline(in, line)) {
-        if (first) {
-            first = false; // header
-            continue;
-        }
-        if (line.empty())
-            continue;
-        const auto cells = parseCsvLine(line);
-        if (cells.size() != width || cells[2] != "ok")
-            continue;
-        BatchRow row;
-        row.workload = cells[0];
-        row.org = cells[1];
-        row.status = cells[2];
-        row.metrics.assign(cells.begin() + 3,
-                           cells.begin() + 3 +
-                               static_cast<long>(kMetricCount));
-        rows.push_back(std::move(row));
-    }
-    return rows;
-}
-
 const std::vector<std::string> &
 batchCsvHeader()
 {
@@ -342,26 +276,6 @@ batchTimingColumns()
         return out;
     }();
     return cols;
-}
-
-Result<unsigned>
-parseJobs(std::string_view text)
-{
-    const auto parsed = parseU64(text);
-    if (!parsed.ok())
-        return Status::error("jobs: ", parsed.status().message());
-    const std::uint64_t v = parsed.value();
-    if (v == 0)
-        return Status::error("jobs: must be at least 1");
-    const unsigned hw =
-        std::max(1u, std::thread::hardware_concurrency());
-    const std::uint64_t cap = 4ull * hw;
-    if (v > cap) {
-        return Status::error("jobs: ", v, " exceeds 4 x hardware "
-                             "concurrency (cap ", cap, "); more children "
-                             "than that only add scheduler churn");
-    }
-    return static_cast<unsigned>(v);
 }
 
 Result<BatchSummary>
@@ -398,17 +312,16 @@ runBatch(const BatchOptions &options, std::ostream &log)
     // The checkpoint journal is the only resume record: it holds every
     // settled cell, flushed per record, under the sweep's fingerprint.
     // Without one, a resume runs the whole grid.
-    const std::string journalPath = options.checkpointPath.empty()
-                                        ? options.outPath + ".journal"
-                                        : options.checkpointPath;
-    const std::string quarantinePath = journalPath + ".quarantine";
-    const bool journalResume =
-        options.resume && std::ifstream(journalPath).good();
+    campaign::EngineOptions engine = options.engine;
+    if (engine.journalPath.empty())
+        engine.journalPath = options.outPath + ".journal";
+    engine.resume =
+        engine.resume && std::ifstream(engine.journalPath).good();
 
     BatchSummary summary;
     const std::size_t gridSize =
         (mcMode ? 1 : specs.size()) * orgs.size();
-    const unsigned jobs = campaign::effectiveJobs(options.jobs);
+    const unsigned jobs = campaign::effectiveJobs(engine.jobs);
     const auto sweepStart = std::chrono::steady_clock::now();
 
     // Rows live at their grid index from the start, so whatever order
@@ -432,23 +345,28 @@ runBatch(const BatchOptions &options, std::ostream &log)
         }
     }
 
-    /** Persist every finished row (in grid order) atomically. */
-    auto persist = [&options, &rows]() -> Status {
-        std::vector<BatchRow> finished;
+    /** Every finished row, in grid order. */
+    auto finished = [&rows] {
+        std::vector<BatchRow> out;
         for (const auto &row : rows) {
             if (!row.status.empty())
-                finished.push_back(row);
+                out.push_back(row);
         }
-        return writeCsvAtomic(options.outPath, finished);
+        return out;
+    };
+    /** Persist every finished row atomically. */
+    auto persist = [&] {
+        return writeCsvAtomic(options.outPath, finished());
     };
     if (Status s = persist(); !s.ok())
         return s;
 
+    std::size_t resumed = 0;       // replayed from the journal
     std::size_t completedRuns = 0; // executed (not resumed) and reaped
 
     /** One progress line + pool-aware heartbeat after a finished run. */
     auto logCompletion = [&](const BatchRow &row, std::size_t inFlight) {
-        const std::size_t done = summary.resumed + completedRuns;
+        const std::size_t done = resumed + completedRuns;
         log << "[" << done << "/" << gridSize << "] " << row.workload
             << " x " << row.org << ": " << row.status;
         if (!row.error.empty())
@@ -465,7 +383,7 @@ runBatch(const BatchOptions &options, std::ostream &log)
         log << "heartbeat: " << done << "/" << gridSize << " cells, "
             << inFlight << " in flight (-j" << jobs << "), "
             << fmt(elapsed) << "s elapsed";
-        const std::size_t liveTotal = gridSize - summary.resumed;
+        const std::size_t liveTotal = gridSize - resumed;
         if (completedRuns < liveTotal && completedRuns > 0) {
             const double eta =
                 elapsed / static_cast<double>(completedRuns) *
@@ -508,30 +426,23 @@ runBatch(const BatchOptions &options, std::ostream &log)
     // interrupted sweep always leaves a complete CSV of everything
     // finished so far. A persist failure aborts the campaign.
     Status persistError;
-    campaign::EngineOptions engine;
-    engine.jobs = jobs;
-    engine.timeoutSeconds = options.timeoutSeconds;
-    engine.retry.maxRetries = options.retries;
-    engine.journalPath = journalPath;
     engine.fingerprint = sweepFingerprint(options, rows);
-    engine.resume = journalResume;
-    engine.quarantinePath = quarantinePath;
     engine.payloadOk = [](const std::string &payload) {
         return deserialize(payload).ok;
     };
     // Default acceptCheckpoint (successes only): failed and timed-out
     // cells re-run on resume.
-    engine.killAfterCheckpoints = options.killAfterCells;
+    engine.acceptCheckpoint = nullptr;
 
     const auto engineRun = campaign::runEngine(
         engine, tasks,
         [&](std::size_t taskIndex, const campaign::TaskOutcome &outcome,
             std::size_t inFlight) {
             BatchRow &row = rows[taskIndex];
-            finishCell(outcome, options.timeoutSeconds, row);
+            finishCell(outcome, engine.timeoutSeconds, row);
             if (outcome.fromCheckpoint) {
-                ++summary.resumed;
-                log << "[" << summary.resumed + completedRuns << "/"
+                ++resumed;
+                log << "[" << resumed + completedRuns << "/"
                     << gridSize << "] " << row.workload << " x "
                     << row.org << ": resumed\n";
             } else {
@@ -555,11 +466,8 @@ runBatch(const BatchOptions &options, std::ostream &log)
         return persistError;
     if (!engineRun.ok())
         return engineRun.status();
-    summary.quarantined =
-        static_cast<unsigned>(engineRun.value().quarantined);
-    summary.retries = static_cast<unsigned>(engineRun.value().retries);
-    summary.interruptSignal = engineRun.value().interruptSignal;
-
+    summary.engine = engineRun.value();
+    summary.rows = finished();
     return summary;
 }
 

@@ -25,13 +25,12 @@
 #define EAT_SIM_BATCH_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <ostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "base/status.hh"
+#include "campaign/engine.hh"
 #include "mc/run_spec.hh"
 
 namespace eat::sim
@@ -56,23 +55,22 @@ struct BatchSummary
     unsigned ok = 0;
     unsigned failed = 0;
     unsigned timedOut = 0;
-    unsigned resumed = 0; ///< cells replayed from the checkpoint journal
 
-    /** Cells recorded in the poisoned-cell (quarantine) file; these
-     *  are also counted under failed/timedOut. */
-    unsigned quarantined = 0;
+    /** The engine's counts: cells replayed from the checkpoint journal,
+     *  cells quarantined (also counted under failed/timedOut), retry
+     *  attempts, and the SIGINT/SIGTERM that stopped the sweep. An
+     *  interrupted sweep's CSV and checkpoint are complete for every
+     *  settled cell — rerun with resume to finish. */
+    campaign::EngineSummary engine;
 
-    /** Transient-failure retry attempts dispatched. */
-    unsigned retries = 0;
+    /** Every settled row, replayed ones included, in grid order. */
+    std::vector<BatchRow> rows;
 
-    /** SIGINT/SIGTERM that stopped the sweep; 0 = ran to completion.
-     *  An interrupted sweep's CSV and checkpoint are complete for
-     *  every settled cell — rerun with resume to finish. */
-    int interruptSignal = 0;
-
-    bool interrupted() const { return interruptSignal != 0; }
-
-    unsigned total() const { return ok + failed + timedOut + resumed; }
+    std::size_t
+    total() const
+    {
+        return ok + failed + timedOut + engine.replayed;
+    }
 };
 
 /** Everything one sweep needs. */
@@ -98,35 +96,16 @@ struct BatchOptions
     /** Output CSV path (written atomically after every run). */
     std::string outPath;
 
-    /** Per-run wall-clock limit in seconds; 0 disables the watchdog. */
-    unsigned timeoutSeconds = 0;
-
     /**
-     * Forked children kept in flight at once; 0 selects the hardware
-     * concurrency. Results are independent of this value (see file
-     * comment).
+     * Jobs, watchdog, retries, journal, resume and kill-after. Results
+     * are independent of the job count (see file comment). An empty
+     * journalPath derives "<outPath>.journal": the journal records
+     * every settled cell (flushed per record), so a killed sweep
+     * resumes losing at most the cells in flight, and a resume without
+     * a journal runs the whole grid. runBatch sets the fingerprint,
+     * payloadOk and acceptCheckpoint itself.
      */
-    unsigned jobs = 1;
-
-    /** Replay the checkpoint journal instead of re-running its settled
-     *  cells; without a journal the whole grid runs. */
-    bool resume = false;
-
-    /**
-     * Checkpoint journal path; empty derives "<outPath>.journal". The
-     * journal records every settled cell (flushed per record), so a
-     * killed sweep resumes losing at most the cells in flight.
-     */
-    std::string checkpointPath;
-
-    /** Transient-failure retry budget per cell (spawn failure, signal
-     *  death, watchdog timeout), with bounded exponential backoff.
-     *  What still fails is quarantined, not fatal. */
-    unsigned retries = 0;
-
-    /** Testing aid: SIGKILL this process after N checkpoint appends
-     *  (a deterministic kill -9 for the crash-resume suite); 0 = off. */
-    unsigned killAfterCells = 0;
+    campaign::EngineOptions engine;
 
     /**
      * Testing aid: a "workload:org" cell that deliberately fails, so
@@ -148,25 +127,11 @@ struct BatchOptions
 const std::vector<std::string> &batchCsvHeader();
 
 /**
- * Load the "ok" rows of a sweep CSV (as written by runBatch), for
- * tools that post-process a finished sweep, e.g. the normalized
- * per-mix organization table eatbatch prints after a multicore sweep.
- */
-std::vector<BatchRow> loadBatchRows(const std::string &path);
-
-/**
  * Indices (into batchCsvHeader()) of the columns derived from wall
  * clock rather than from simulation: wall_seconds and sim_kips. Every
  * other column is deterministic across job counts and reruns.
  */
 const std::vector<std::size_t> &batchTimingColumns();
-
-/**
- * Parse and validate a --jobs/-j value: a decimal count in
- * [1, 4 x hardware concurrency]. Rejects 0, non-numeric text, and
- * values beyond that cap (they only add scheduler churn).
- */
-Result<unsigned> parseJobs(std::string_view text);
 
 /**
  * Run the sweep. @p log receives one progress line per run. Returns

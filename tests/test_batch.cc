@@ -14,7 +14,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/batch.hh"
@@ -113,7 +112,7 @@ TEST_F(BatchTest, WatchdogKillsAHangingRun)
     options.workloadNames = {"mcf"};
     options.orgs = {core::MmuOrg::Thp, core::MmuOrg::Rmm};
     options.failCell = "mcf:THP:hang";
-    options.timeoutSeconds = 1;
+    options.engine.timeoutSeconds = 1;
     std::ostringstream log;
     const auto r = runBatch(options, log);
     ASSERT_TRUE(r.ok()) << r.status().message();
@@ -161,11 +160,11 @@ TEST_F(BatchTest, ResumeReusesCompletedRows)
 
     // Second sweep with --resume: only the failed cell re-runs.
     options.failCell.clear();
-    options.resume = true;
+    options.engine.resume = true;
     std::ostringstream log2;
     const auto second = runBatch(options, log2);
     ASSERT_TRUE(second.ok());
-    EXPECT_EQ(second.value().resumed, 3u);
+    EXPECT_EQ(second.value().engine.replayed, 3u);
     EXPECT_EQ(second.value().ok, 1u);
     EXPECT_EQ(second.value().failed, 0u);
 
@@ -187,12 +186,12 @@ TEST_F(BatchTest, ResumeWithoutAJournalRunsTheWholeGrid)
     EXPECT_EQ(first.value().ok, 4u);
 
     options.spec.simInstructions = 200'000;
-    options.checkpointPath = csvPath_ + ".fresh.journal";
-    options.resume = true;
+    options.engine.journalPath = csvPath_ + ".fresh.journal";
+    options.engine.resume = true;
     std::ostringstream log2;
     const auto second = runBatch(options, log2);
     ASSERT_TRUE(second.ok()) << second.status().message();
-    EXPECT_EQ(second.value().resumed, 0u);
+    EXPECT_EQ(second.value().engine.replayed, 0u);
     EXPECT_EQ(second.value().ok, 4u);
 
     const auto lines = csvLines();
@@ -243,7 +242,7 @@ TEST_F(BatchTest, ParallelSweepIsByteIdenticalToSerial)
     // byte-for-byte equal except the wall-clock-derived ones
     // (wall_seconds, sim_kips).
     auto serialOptions = quickOptions();
-    serialOptions.jobs = 1;
+    serialOptions.engine.jobs = 1;
     std::ostringstream log1;
     ASSERT_TRUE(runBatch(serialOptions, log1).ok());
     const auto serial = csvLines();
@@ -251,7 +250,7 @@ TEST_F(BatchTest, ParallelSweepIsByteIdenticalToSerial)
     const std::string parallelPath =
         test::scratchDir() + "eat_batch_test_j4.csv";
     auto parallelOptions = quickOptions();
-    parallelOptions.jobs = 4;
+    parallelOptions.engine.jobs = 4;
     parallelOptions.outPath = parallelPath;
     std::ostringstream log4;
     const auto r = runBatch(parallelOptions, log4);
@@ -291,7 +290,7 @@ TEST_F(BatchTest, ResumeAtADifferentJobCountIsByteIdentical)
     const std::string referencePath =
         test::scratchDir() + "eat_batch_test_ref.csv";
     auto referenceOptions = quickOptions();
-    referenceOptions.jobs = 1;
+    referenceOptions.engine.jobs = 1;
     referenceOptions.outPath = referencePath;
     std::ostringstream log0;
     ASSERT_TRUE(runBatch(referenceOptions, log0).ok());
@@ -305,7 +304,7 @@ TEST_F(BatchTest, ResumeAtADifferentJobCountIsByteIdentical)
 
     // A partial sweep at -j2: one cell fails, three complete.
     auto options = quickOptions();
-    options.jobs = 2;
+    options.engine.jobs = 2;
     options.failCell = "astar:RMM";
     std::ostringstream log1;
     const auto first = runBatch(options, log1);
@@ -315,12 +314,12 @@ TEST_F(BatchTest, ResumeAtADifferentJobCountIsByteIdentical)
 
     // Resume at -j3: only the failed cell re-runs.
     options.failCell.clear();
-    options.resume = true;
-    options.jobs = 3;
+    options.engine.resume = true;
+    options.engine.jobs = 3;
     std::ostringstream log2;
     const auto second = runBatch(options, log2);
     ASSERT_TRUE(second.ok());
-    EXPECT_EQ(second.value().resumed, 3u);
+    EXPECT_EQ(second.value().engine.replayed, 3u);
     EXPECT_EQ(second.value().ok, 1u);
 
     // The stitched-together CSV must be byte-identical to the
@@ -350,9 +349,9 @@ TEST_F(BatchTest, HangingCellInAFullPoolCostsOnlyThatCell)
     // All four cells in flight at once; one hangs. The watchdog kills
     // exactly that child and the other three land normally.
     auto options = quickOptions();
-    options.jobs = 4;
+    options.engine.jobs = 4;
     options.failCell = "mcf:THP:hang";
-    options.timeoutSeconds = 2;
+    options.engine.timeoutSeconds = 2;
     std::ostringstream log;
     const auto r = runBatch(options, log);
     ASSERT_TRUE(r.ok()) << r.status().message();
@@ -380,35 +379,11 @@ TEST_F(BatchTest, HangingCellInAFullPoolCostsOnlyThatCell)
 TEST_F(BatchTest, AutoJobsSweepCompletes)
 {
     auto options = quickOptions();
-    options.jobs = 0; // auto: hardware concurrency
+    options.engine.jobs = 0; // auto: hardware concurrency
     std::ostringstream log;
     const auto r = runBatch(options, log);
     ASSERT_TRUE(r.ok()) << r.status().message();
     EXPECT_EQ(r.value().ok, 4u);
-}
-
-TEST(ParseJobs, AcceptsCountsUpToFourTimesHardwareConcurrency)
-{
-    const unsigned hw =
-        std::max(1u, std::thread::hardware_concurrency());
-    const auto one = parseJobs("1");
-    ASSERT_TRUE(one.ok());
-    EXPECT_EQ(one.value(), 1u);
-    const auto cap = parseJobs(std::to_string(4 * hw));
-    ASSERT_TRUE(cap.ok());
-    EXPECT_EQ(cap.value(), 4 * hw);
-}
-
-TEST(ParseJobs, RejectsZeroGarbageAndOversizedCounts)
-{
-    EXPECT_FALSE(parseJobs("0").ok());
-    EXPECT_FALSE(parseJobs("").ok());
-    EXPECT_FALSE(parseJobs("abc").ok());
-    EXPECT_FALSE(parseJobs("4x").ok());
-    EXPECT_FALSE(parseJobs("-2").ok());
-    const unsigned hw =
-        std::max(1u, std::thread::hardware_concurrency());
-    EXPECT_FALSE(parseJobs(std::to_string(4 * hw + 1)).ok());
 }
 
 TEST(BatchHeader, TimingColumnsAreExactlyWallSecondsAndSimKips)

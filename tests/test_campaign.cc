@@ -11,12 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <fcntl.h>
@@ -124,25 +126,6 @@ TEST(CampaignJsonl, WriterFlushesPerRecord)
 
 // ---- failure classification and retry policy --------------------------
 
-TEST(CampaignRetry, ClassifiesEveryWayAChildCanFail)
-{
-    using TaskState = sim::ProcessPool::TaskState;
-    sim::ProcessPool::TaskResult r;
-
-    r.state = TaskState::SpawnFailed;
-    EXPECT_EQ(classify(r, true), FailureClass::SpawnFailed);
-    r.state = TaskState::TimedOut;
-    EXPECT_EQ(classify(r, true), FailureClass::TimedOut);
-    r.state = TaskState::Crashed;
-    EXPECT_EQ(classify(r, true), FailureClass::Crashed);
-    r.state = TaskState::Done;
-    r.exitCode = 125;
-    EXPECT_EQ(classify(r, true), FailureClass::NonzeroExit);
-    r.exitCode = 0;
-    EXPECT_EQ(classify(r, false), FailureClass::BadPayload);
-    EXPECT_EQ(classify(r, true), FailureClass::None);
-}
-
 TEST(CampaignRetry, TransientVersusPersistentSplit)
 {
     EXPECT_TRUE(isTransient(FailureClass::SpawnFailed));
@@ -188,6 +171,30 @@ TEST(CampaignRetry, ParseRetriesValidates)
     EXPECT_NE(over.status().message().find("cap"), std::string::npos);
 }
 
+TEST(ParseJobs, AcceptsCountsUpToFourTimesHardwareConcurrency)
+{
+    const unsigned hw =
+        std::max(1u, std::thread::hardware_concurrency());
+    const auto one = parseJobs("1");
+    ASSERT_TRUE(one.ok());
+    EXPECT_EQ(one.value(), 1u);
+    const auto cap = parseJobs(std::to_string(4 * hw));
+    ASSERT_TRUE(cap.ok());
+    EXPECT_EQ(cap.value(), 4 * hw);
+}
+
+TEST(ParseJobs, RejectsZeroGarbageAndOversizedCounts)
+{
+    EXPECT_FALSE(parseJobs("0").ok());
+    EXPECT_FALSE(parseJobs("").ok());
+    EXPECT_FALSE(parseJobs("abc").ok());
+    EXPECT_FALSE(parseJobs("4x").ok());
+    EXPECT_FALSE(parseJobs("-2").ok());
+    const unsigned hw =
+        std::max(1u, std::thread::hardware_concurrency());
+    EXPECT_FALSE(parseJobs(std::to_string(4 * hw + 1)).ok());
+}
+
 // ---- checkpoint journal -----------------------------------------------
 
 TEST(CampaignJournal, CreateAppendLoadRoundTrip)
@@ -196,18 +203,17 @@ TEST(CampaignJournal, CreateAppendLoadRoundTrip)
     {
         auto journal = CheckpointJournal::create(path, "fp-1");
         ASSERT_TRUE(journal.ok()) << journal.status().message();
-        JournalEntry a;
-        a.key = "mcf:THP";
-        a.state = "done";
-        a.payload = "OK\nline two\n"; // newlines must survive JSON
+        JournalEntry a{"mcf:THP", {}};
+        a.outcome.payload = "OK\nline two\n"; // newlines must survive JSON
         ASSERT_TRUE(journal.value().append(a).ok());
-        JournalEntry b;
-        b.key = "mcf:RMM";
-        b.state = "signal";
-        b.termSignal = 9;
-        b.attempts = 3;
-        b.quarantined = true;
-        b.error = "fork() failed: Resource temporarily unavailable";
+        JournalEntry b{"mcf:RMM", {}};
+        b.outcome.failure = FailureClass::SpawnFailed;
+        b.outcome.termSignal = 9;
+        b.outcome.exitCode = 3;
+        b.outcome.attempts = 3;
+        b.outcome.quarantined = true;
+        b.outcome.spawnError =
+            "fork() failed: Resource temporarily unavailable";
         ASSERT_TRUE(journal.value().append(b).ok());
         EXPECT_EQ(journal.value().appended(), 2u);
     }
@@ -216,11 +222,16 @@ TEST(CampaignJournal, CreateAppendLoadRoundTrip)
     ASSERT_TRUE(loaded.ok()) << loaded.status().message();
     ASSERT_EQ(recovered.entries.size(), 2u);
     EXPECT_EQ(recovered.entries[0].key, "mcf:THP");
-    EXPECT_EQ(recovered.entries[0].payload, "OK\nline two\n");
-    EXPECT_EQ(recovered.entries[1].state, "signal");
-    EXPECT_EQ(recovered.entries[1].termSignal, 9);
-    EXPECT_EQ(recovered.entries[1].attempts, 3u);
-    EXPECT_TRUE(recovered.entries[1].quarantined);
+    EXPECT_EQ(recovered.entries[0].outcome.failure, FailureClass::None);
+    EXPECT_EQ(recovered.entries[0].outcome.payload, "OK\nline two\n");
+    const TaskOutcome &b = recovered.entries[1].outcome;
+    EXPECT_EQ(b.failure, FailureClass::SpawnFailed);
+    EXPECT_EQ(b.termSignal, 9);
+    EXPECT_EQ(b.exitCode, 3);
+    EXPECT_EQ(b.attempts, 3u);
+    EXPECT_TRUE(b.quarantined);
+    EXPECT_EQ(b.spawnError,
+              "fork() failed: Resource temporarily unavailable");
     EXPECT_TRUE(recovered.truncatedTail.empty());
 }
 
@@ -230,20 +241,19 @@ TEST(CampaignJournal, DuplicateKeysResolveLastWins)
     {
         auto journal = CheckpointJournal::create(path, "fp");
         ASSERT_TRUE(journal.ok());
-        JournalEntry e;
-        e.key = "cell";
-        e.state = "timeout";
+        JournalEntry e{"cell", {}};
+        e.outcome.failure = FailureClass::TimedOut;
         ASSERT_TRUE(journal.value().append(e).ok());
-        e.state = "done";
-        e.attempts = 2;
+        e.outcome.failure = FailureClass::None;
+        e.outcome.attempts = 2;
         ASSERT_TRUE(journal.value().append(e).ok());
     }
     CheckpointJournal::Recovered recovered;
     auto loaded = CheckpointJournal::load(path, "fp", recovered);
     ASSERT_TRUE(loaded.ok());
     ASSERT_EQ(recovered.entries.size(), 1u);
-    EXPECT_EQ(recovered.entries[0].state, "done");
-    EXPECT_EQ(recovered.entries[0].attempts, 2u);
+    EXPECT_EQ(recovered.entries[0].outcome.failure, FailureClass::None);
+    EXPECT_EQ(recovered.entries[0].outcome.attempts, 2u);
 }
 
 TEST(CampaignJournal, FingerprintMismatchIsAnError)
@@ -267,15 +277,12 @@ TEST(CampaignJournal, TruncatedTailIsDroppedAndCompactedAway)
     {
         auto journal = CheckpointJournal::create(path, "fp");
         ASSERT_TRUE(journal.ok());
-        JournalEntry e;
-        e.key = "survivor";
-        e.state = "done";
-        ASSERT_TRUE(journal.value().append(e).ok());
+        ASSERT_TRUE(journal.value().append({"survivor", {}}).ok());
     }
     // Simulate the writer dying mid-append.
     {
         std::ofstream out(path, std::ios::app | std::ios::binary);
-        out << "{\"schema\":\"eat.campaign.journal\",\"v\":1,\"kind\"";
+        out << "{\"schema\":\"eat.campaign.journal\",\"v\":2,\"kind\"";
     }
     CheckpointJournal::Recovered recovered;
     auto loaded = CheckpointJournal::load(path, "fp", recovered);
@@ -290,6 +297,26 @@ TEST(CampaignJournal, TruncatedTailIsDroppedAndCompactedAway)
     ASSERT_TRUE(reread.ok()) << reread.status().message();
     EXPECT_FALSE(reread.value().truncated());
     EXPECT_EQ(reread.value().records.size(), 2u);
+}
+
+TEST(CampaignJournal, AnOlderVersionIsRefused)
+{
+    // A v1 journal recorded the pool's task state, not the failure
+    // class; resuming from it is refused, naming the journal.
+    const std::string path = tmpPath("journal_v1.jsonl");
+    writeFile(path,
+              "{\"schema\":\"eat.campaign.journal\",\"v\":1,"
+              "\"kind\":\"meta\",\"fingerprint\":\"fp\"}\n"
+              "{\"schema\":\"eat.campaign.journal\",\"v\":1,"
+              "\"kind\":\"cell\",\"key\":\"a\",\"state\":\"done\","
+              "\"exit\":0,\"signal\":0,\"attempts\":1,"
+              "\"quarantined\":false,\"error\":\"\",\"payload\":\"x\"}\n");
+    CheckpointJournal::Recovered recovered;
+    const auto loaded = CheckpointJournal::load(path, "fp", recovered);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().message(),
+              "checkpoint journal " + path + " is not version 2");
+    EXPECT_TRUE(recovered.entries.empty());
 }
 
 TEST(CampaignJournal, LoadOfAMissingJournalDegradesToCreate)
@@ -349,7 +376,7 @@ TEST(CampaignEngine, TransientFailureRetriesThenSucceeds)
 
 TEST(CampaignEngine, ExhaustedRetriesQuarantineWithoutKillingTheSweep)
 {
-    const std::string quarantinePath = tmpPath("engine_quarantine.jsonl");
+    const std::string journalPath = tmpPath("engine_quarantine.jsonl");
 
     std::vector<EngineTask> tasks;
     tasks.push_back({"poison", []() -> std::string {
@@ -362,7 +389,7 @@ TEST(CampaignEngine, ExhaustedRetriesQuarantineWithoutKillingTheSweep)
     options.jobs = 1;
     options.retry.maxRetries = 1;
     options.retry.backoffBaseMs = 1;
-    options.quarantinePath = quarantinePath;
+    options.journalPath = journalPath;
 
     std::vector<TaskOutcome> outcomes(tasks.size());
     std::ostringstream log;
@@ -385,7 +412,7 @@ TEST(CampaignEngine, ExhaustedRetriesQuarantineWithoutKillingTheSweep)
     EXPECT_EQ(run.value().quarantined, 1u);
     EXPECT_EQ(run.value().retries, 1u);
 
-    const auto quarantine = readJsonl(quarantinePath);
+    const auto quarantine = readJsonl(journalPath + ".quarantine");
     ASSERT_TRUE(quarantine.ok()) << quarantine.status().message();
     ASSERT_EQ(quarantine.value().records.size(), 1u);
     const auto *key = quarantine.value().records[0].find("key");
@@ -398,8 +425,7 @@ TEST(CampaignEngine, ExhaustedRetriesQuarantineWithoutKillingTheSweep)
 
 TEST(CampaignEngine, PersistentFailuresAreNotRetried)
 {
-    const std::string quarantinePath =
-        tmpPath("engine_badpayload.jsonl");
+    const std::string journalPath = tmpPath("engine_badpayload.jsonl");
 
     std::vector<EngineTask> tasks;
     tasks.push_back({"garbled", [] { return std::string("junk"); }});
@@ -407,7 +433,7 @@ TEST(CampaignEngine, PersistentFailuresAreNotRetried)
     EngineOptions options;
     options.jobs = 1;
     options.retry.maxRetries = 3; // must NOT be spent on a bad payload
-    options.quarantinePath = quarantinePath;
+    options.journalPath = journalPath;
     options.payloadOk = [](const std::string &) { return false; };
 
     std::vector<TaskOutcome> outcomes;
@@ -637,15 +663,15 @@ TEST(CampaignBatch, CrashingCellIsQuarantinedAfterItsRetryBudget)
     options.spec.simInstructions = 100'000;
     options.outPath = csv;
     options.failCell = "mcf:RMM:crash";
-    options.retries = 1;
+    options.engine.retry.maxRetries = 1;
 
     std::ostringstream log;
     const auto r = sim::runBatch(options, log);
     ASSERT_TRUE(r.ok()) << r.status().message();
     EXPECT_EQ(r.value().ok, 1u);      // the sibling cell completed
     EXPECT_EQ(r.value().failed, 1u);  // the poisoned cell is data
-    EXPECT_EQ(r.value().quarantined, 1u);
-    EXPECT_EQ(r.value().retries, 1u);
+    EXPECT_EQ(r.value().engine.quarantined, 1u);
+    EXPECT_EQ(r.value().engine.retries, 1u);
 
     // The row carries the real failure class and the attempt count.
     const std::string content = readFile(csv);

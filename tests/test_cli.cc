@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <sys/wait.h>
 
@@ -332,6 +333,8 @@ TEST(CliEatbatch, RejectsBadCampaignFlags)
     expectFailure(base + " --retries=garbage", 2, "--retries");
     expectFailure(base + " --retries=99", 2, "cap");
     expectFailure(base + " --checkpoint=", 2, "--checkpoint");
+    expectFailure(base + " --timeout=4294967297", 2,
+                  "--timeout: 4294967297 is out of range");
 }
 
 TEST(CliEatfuzz, RejectsBadCampaignFlags)
@@ -346,6 +349,46 @@ TEST(CliEatfuzz, RejectsBadCampaignFlags)
     expectFailure(kEatfuzz + " --checkpoint=" + eat::test::scratchDir() +
                       "cli_camp.jsonl --resume --shrink=x",
                   2, "campaign mode");
+    expectFailure(kEatfuzz + " --kill-after=4294967296", 2,
+                  "--kill-after: 4294967296 is out of range");
+}
+
+TEST(CliEatfuzz, EachModeRefusesTheFlagsItIgnores)
+{
+    // Replay takes the engine's scheduling flags and --verdicts; shrink
+    // takes --corpus-dir; the self-test takes nothing else. Every other
+    // flag is refused before any work, naming the flag and the mode.
+    const std::string dir = eat::test::scratchDir();
+    const std::string replay =
+        kEatfuzz + " --replay=" + EAT_CORPUS_DIR + "/seed-thp.json";
+    for (const std::string &flag : std::vector<std::string>{
+             "--runs=5", "--seed=9", "--corpus-dir=" + dir + "cli_never",
+             "--no-shrink", "--resume",
+             "--checkpoint=" + dir + "cli_mode.jsonl", "--kill-after=1"}) {
+        expectFailure(replay + " " + flag, 2,
+                      flag.substr(0, flag.find('=')) +
+                          " does not apply to --replay mode");
+    }
+    EXPECT_FALSE(std::ifstream(dir + "cli_never").good())
+        << "a refused replay must not create the corpus dir";
+
+    const std::string shrink = kEatfuzz + " --shrink=" + EAT_CORPUS_DIR +
+                               "/seed-thp.json";
+    expectFailure(shrink + " -j2", 2, "-j does not apply to --shrink mode");
+    expectFailure(shrink + " --verdicts=" + dir + "cli_v.jsonl", 2,
+                  "it applies to campaign mode and --replay mode");
+    expectFailure(shrink + " --timeout=5", 2,
+                  "--timeout does not apply to --shrink mode");
+    expectFailure(kEatfuzz + " --self-test --corpus-dir=" + dir, 2,
+                  "it applies to campaign mode and --shrink mode");
+    expectFailure(kEatfuzz + " --self-test --retries=1", 2,
+                  "--retries does not apply to --self-test mode");
+
+    // What each mode does take still runs.
+    const CmdResult replayed =
+        run(replay + " -j2 --timeout=60 --retries=1 --verdicts=" + dir +
+            "cli_mode_verdicts.jsonl");
+    EXPECT_EQ(replayed.exitCode, 0) << replayed.output;
 }
 
 TEST(CliEatsim, RejectsBadVirtualizationFlags)

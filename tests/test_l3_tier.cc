@@ -70,27 +70,6 @@ TEST(L3CapacityModel, ReservedShareIsAWayPartition)
     EXPECT_DOUBLE_EQ(coeff.leakage, full.leakage / 16.0);
 }
 
-TEST(L3CapacityModel, OccupancyTracksLinesAndClamps)
-{
-    const energy::CactiLite cacti;
-    l3::CacheTlbConfig cfg;
-    cfg.entries = 1024;
-    cfg.ways = 4;
-    l3::CacheTlb tlb(cfg, cacti);
-
-    EXPECT_EQ(tlb.capacity().occupiedLines(), 0u);
-    for (unsigned i = 0; i < 64; ++i) {
-        tlb.fill({/*vbase=*/Addr{i} << 12, /*pbase=*/Addr{i} << 12,
-                  vm::PageSize::Size4K, 12, /*asid=*/0});
-    }
-    // 64 entries at 8 PTEs per line: 8 lines' worth of footprint.
-    EXPECT_EQ(tlb.validEntries(), 64u);
-    EXPECT_EQ(tlb.capacity().occupiedLines(), 8u);
-    EXPECT_GE(tlb.capacity().peakOccupiedLines(), 8u);
-    EXPECT_LE(tlb.capacity().occupiedLines(),
-              tlb.capacity().reservedLines());
-}
-
 // --- CacheTlb --------------------------------------------------------
 
 TEST(L3CacheTlb, FillThenLookupHitsAndInvalidates)
@@ -112,7 +91,7 @@ TEST(L3CacheTlb, FillThenLookupHitsAndInvalidates)
 
     EXPECT_EQ(tlb.invalidateRange(va, va + 0x1000, 0), 1u);
     EXPECT_FALSE(tlb.lookup(va, 0).hit);
-    EXPECT_EQ(tlb.validEntries(), 0u);
+    EXPECT_EQ(tlb.validCount(), 0u);
 }
 
 TEST(L3CacheTlb, PromotePolicyAdmitsOnlyDuringMissStreaks)

@@ -501,7 +501,7 @@ TEST_F(MmuTest, ShootdownLeavesNoStaleEntryInAnyStructure)
     fillRange(vbase, kOther);
     ASSERT_EQ(l1.validCount(), kPages + 2);
     ASSERT_EQ(l2.validCount(), kPages + 2);
-    ASSERT_EQ(l3.validEntries(), kPages + 2);
+    ASSERT_EQ(l3.validCount(), kPages + 2);
     ASSERT_EQ(l1Range.validCount(), 3u);
     ASSERT_EQ(l2Range.validCount(), 3u);
 
@@ -528,7 +528,7 @@ TEST_F(MmuTest, ShootdownLeavesNoStaleEntryInAnyStructure)
     EXPECT_EQ(l2.validCount(), 2u);
     EXPECT_EQ(l1Range.validCount(), 2u);
     EXPECT_EQ(l2Range.validCount(), 2u);
-    EXPECT_EQ(l3.validEntries(), 2u);
+    EXPECT_EQ(l3.validCount(), 2u);
     EXPECT_FALSE(l3.lookup(vbase + 4_KiB, kAsid).hit);
     EXPECT_TRUE(l3.lookup(outside, kAsid).hit);
     EXPECT_TRUE(l3.lookup(vbase, kOther).hit);

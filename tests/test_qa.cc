@@ -356,7 +356,7 @@ TEST(QaCampaign, SmallCampaignIsCleanAndDeterministic)
     qa::CampaignOptions options;
     options.seed = 42;
     options.runs = 6;
-    options.jobs = 2;
+    options.engine.jobs = 2;
     options.verdictsPath =
         test::scratchDir() + "qa_campaign_verdicts.jsonl";
 
@@ -412,7 +412,7 @@ TEST(QaCampaign, ReplayGivesEverySeedAVerdictUnderTheWatchdog)
     ASSERT_TRUE(qa::saveScenario(rmm.value(), files[2]).ok());
 
     qa::CampaignOptions options;
-    options.timeoutSeconds = 1;
+    options.engine.timeoutSeconds = 1;
     options.verdictsPath = dir + "verdicts.jsonl";
     std::ostringstream log;
     const auto summary = qa::replayCorpus(dir, options, log);

@@ -163,7 +163,7 @@ TEST(RunSpecTable, EveryKnobEntersTheResumeFingerprint)
 
     for (const Knob &k : runKnobs()) {
         auto moved = options;
-        moved.resume = true;
+        moved.engine.resume = true;
         ASSERT_TRUE(k.parse(moved.spec, kMoved.find(k.name())->second).ok())
             << k.name();
         const auto refused = sim::runBatch(moved, log);

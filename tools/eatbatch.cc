@@ -41,8 +41,7 @@
 #include <string>
 #include <vector>
 
-#include "base/parse.hh"
-#include "campaign/retry.hh"
+#include "campaign/engine.hh"
 #include "sim/batch.hh"
 #include "stats/table.hh"
 #include "workloads/suite.hh"
@@ -121,25 +120,13 @@ splitCommas(const std::string &s)
     return out;
 }
 
-std::uint64_t
-parseCount(const char *flag, const std::string &text)
-{
-    const auto r = parseU64(text);
-    if (!r.ok()) {
-        std::fprintf(stderr, "%s: %s\n", flag,
-                     std::string(r.status().message()).c_str());
-        std::exit(2);
-    }
-    return r.value();
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     sim::BatchOptions options;
-    options.jobs = 0; // auto: one child per hardware thread
+    options.engine.jobs = 0; // auto: one child per hardware thread
     std::string workloadsArg, orgsArg;
     mc::RunFlags run(mc::kEatbatch);
 
@@ -150,57 +137,22 @@ main(int argc, char **argv)
             return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n
                                                   : nullptr;
         };
-        auto setJobs = [&options](const char *text) {
-            const auto jobs = sim::parseJobs(text);
-            if (!jobs.ok()) {
-                std::fprintf(stderr, "--jobs: %s\n",
-                             std::string(jobs.status().message()).c_str());
-                std::exit(2);
-            }
-            options.jobs = jobs.value();
-        };
         if (const char *v = value("--out=")) {
             options.outPath = v;
         } else if (const char *v2 = value("--workloads=")) {
             workloadsArg = v2;
         } else if (const char *v3 = value("--orgs=")) {
             orgsArg = v3;
-        } else if (const char *v7 = value("--timeout=")) {
-            options.timeoutSeconds = static_cast<unsigned>(
-                parseCount("--timeout", v7));
         } else if (const char *v10 = value("--fail-cell=")) {
             options.failCell = v10; // undocumented testing aid
         } else if (const char *v11 = value("--telemetry-dir=")) {
             options.telemetryDir = v11;
-        } else if (const char *v18 = value("--retries=")) {
-            const auto retries = campaign::parseRetries(v18);
-            if (!retries.ok()) {
-                std::fprintf(stderr, "--%s\n",
-                             std::string(retries.status().message())
-                                 .c_str());
-                return 2;
-            }
-            options.retries = retries.value();
-        } else if (const char *v19 = value("--checkpoint=")) {
-            if (*v19 == '\0') {
-                std::fprintf(stderr,
-                             "--checkpoint: path must not be empty\n");
-                return 2;
-            }
-            options.checkpointPath = v19;
-        } else if (const char *v20 = value("--kill-after=")) {
-            // Undocumented testing aid: SIGKILL this process after N
-            // checkpoint appends (crash-resume suite).
-            options.killAfterCells = static_cast<unsigned>(
-                parseCount("--kill-after", v20));
-        } else if (const char *v12 = value("--jobs=")) {
-            setJobs(v12);
-        } else if (const char *v13 = value("-j")) {
-            setJobs(v13);
-        } else if (arg == "--resume") {
-            options.resume = true;
         } else {
-            const auto taken = run.take(arg);
+            // The campaign flags (--kill-after is an undocumented
+            // testing aid), then the run knobs.
+            auto taken = campaign::takeEngineFlag(arg, options.engine);
+            if (taken.ok() && !taken.value())
+                taken = run.take(arg);
             if (!taken.ok()) {
                 std::fprintf(stderr, "%s\n",
                              taken.status().message().c_str());
@@ -246,27 +198,32 @@ main(int argc, char **argv)
 
     const auto &s = result.value();
     std::cout << "\nsweep: " << s.ok << " ok, " << s.failed
-              << " failed, " << s.timedOut << " timed out, " << s.resumed
-              << " resumed (" << s.total() << " total";
-    if (s.quarantined > 0)
-        std::cout << "; " << s.quarantined << " quarantined";
-    if (s.retries > 0)
-        std::cout << "; " << s.retries << " retries";
+              << " failed, " << s.timedOut << " timed out, "
+              << s.engine.replayed << " resumed (" << s.total()
+              << " total";
+    if (s.engine.quarantined > 0)
+        std::cout << "; " << s.engine.quarantined << " quarantined";
+    if (s.engine.retries > 0)
+        std::cout << "; " << s.engine.retries << " retries";
     std::cout << ") -> " << options.outPath << "\n";
 
-    if (s.interrupted()) {
+    if (s.engine.interrupted()) {
         std::fprintf(stderr,
                      "eatbatch: interrupted by signal %d; rerun with "
                      "--resume to finish the sweep\n",
-                     s.interruptSignal);
-        return 128 + s.interruptSignal;
+                     s.engine.interruptSignal);
+        return 128 + s.engine.interruptSignal;
     }
 
     // After a multicore sweep, print the per-mix organization table
     // (paper Figure 10 shape): absolute and normalized energy and
-    // miss cycles per organization, from the finished rows.
-    if (options.spec.multicore() && s.ok + s.resumed > 0) {
-        const auto rows = sim::loadBatchRows(options.outPath);
+    // miss cycles per organization, from the rows that ran clean.
+    if (options.spec.multicore()) {
+        std::vector<sim::BatchRow> rows;
+        for (const auto &row : s.rows) {
+            if (row.status == "ok")
+                rows.push_back(row);
+        }
         if (!rows.empty()) {
             // Metric columns (see batchCsvHeader): 1 l1_mpki,
             // 3 miss_cycles_pki, 4 energy_pj_pki, 7 shootdowns.

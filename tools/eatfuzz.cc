@@ -33,18 +33,20 @@
  * oracles catch deliberately seeded defects.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "base/parse.hh"
-#include "campaign/retry.hh"
+#include "campaign/engine.hh"
 #include "qa/campaign.hh"
 #include "qa/oracles.hh"
 #include "qa/shrinker.hh"
-#include "sim/batch.hh"
 
 namespace
 {
@@ -98,6 +100,38 @@ parseCount(const char *flag, const std::string &text)
     return r.value();
 }
 
+/** A mode other than the campaign and the flags it takes besides its
+ *  own; campaign mode takes every flag. */
+struct Mode
+{
+    std::string_view flag;
+    std::vector<std::string_view> takes;
+};
+
+const Mode kModes[] = {
+    {"--replay", {"-j", "--jobs", "--timeout", "--retries", "--verdicts"}},
+    {"--shrink", {"--corpus-dir"}},
+    {"--self-test", {}},
+};
+
+/** The flag an argument gives: "--runs" for "--runs=5", "-j" for
+ *  "-j4". */
+std::string_view
+flagOf(std::string_view arg)
+{
+    if (arg.starts_with("-j"))
+        return "-j";
+    return arg.substr(0, arg.find('='));
+}
+
+bool
+takes(const Mode &mode, std::string_view flag)
+{
+    return flag == mode.flag ||
+           std::find(mode.takes.begin(), mode.takes.end(), flag) !=
+               mode.takes.end();
+}
+
 int
 report(const Result<qa::CampaignSummary> &result, const char *mode)
 {
@@ -110,21 +144,22 @@ report(const Result<qa::CampaignSummary> &result, const char *mode)
     std::cout << "\n" << mode << ": " << s.scenarios << " scenarios, "
               << s.passed << " pass, " << s.failed << " fail, "
               << s.crashed << " crash";
-    if (s.replayed > 0)
-        std::cout << "; " << s.replayed << " replayed from checkpoint";
-    if (s.quarantined > 0)
-        std::cout << "; " << s.quarantined << " quarantined";
-    if (s.retries > 0)
-        std::cout << "; " << s.retries << " retries";
+    if (s.engine.replayed > 0)
+        std::cout << "; " << s.engine.replayed
+                  << " replayed from checkpoint";
+    if (s.engine.quarantined > 0)
+        std::cout << "; " << s.engine.quarantined << " quarantined";
+    if (s.engine.retries > 0)
+        std::cout << "; " << s.engine.retries << " retries";
     if (!s.savedSeeds.empty())
         std::cout << "; " << s.savedSeeds.size() << " seeds saved";
     std::cout << "\n";
-    if (s.interrupted()) {
+    if (s.engine.interrupted()) {
         std::fprintf(stderr,
                      "eatfuzz: interrupted by signal %d; rerun with "
                      "--resume to finish the campaign\n",
-                     s.interruptSignal);
-        return 128 + s.interruptSignal;
+                     s.engine.interruptSignal);
+        return 128 + s.engine.interruptSignal;
     }
     return s.clean() ? 0 : 1;
 }
@@ -137,6 +172,7 @@ main(int argc, char **argv)
     qa::CampaignOptions options;
     std::string replayPath, shrinkPath;
     bool selfTest = false;
+    std::vector<std::string_view> given; // every flag, in order
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -145,22 +181,11 @@ main(int argc, char **argv)
             return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n
                                                   : nullptr;
         };
-        auto setJobs = [&options](const char *text) {
-            const auto jobs = sim::parseJobs(text);
-            if (!jobs.ok()) {
-                std::fprintf(stderr, "--jobs: %s\n",
-                             std::string(jobs.status().message()).c_str());
-                std::exit(2);
-            }
-            options.jobs = jobs.value();
-        };
+        given.push_back(flagOf(argv[i]));
         if (const char *v = value("--runs=")) {
             options.runs = parseCount("--runs", v);
         } else if (const char *v2 = value("--seed=")) {
             options.seed = parseCount("--seed", v2);
-        } else if (const char *v3 = value("--timeout=")) {
-            options.timeoutSeconds =
-                static_cast<unsigned>(parseCount("--timeout", v3));
         } else if (const char *v4 = value("--corpus-dir=")) {
             options.corpusDir = v4;
         } else if (const char *v5 = value("--verdicts=")) {
@@ -169,39 +194,20 @@ main(int argc, char **argv)
             replayPath = v6;
         } else if (const char *v7 = value("--shrink=")) {
             shrinkPath = v7;
-        } else if (const char *v8 = value("--jobs=")) {
-            setJobs(v8);
-        } else if (const char *v10 = value("--retries=")) {
-            const auto retries = campaign::parseRetries(v10);
-            if (!retries.ok()) {
-                std::fprintf(stderr, "--%s\n",
-                             std::string(retries.status().message())
-                                 .c_str());
-                return 2;
-            }
-            options.retries = retries.value();
-        } else if (const char *v11 = value("--checkpoint=")) {
-            if (*v11 == '\0') {
-                std::fprintf(stderr,
-                             "--checkpoint: path must not be empty\n");
-                return 2;
-            }
-            options.checkpointPath = v11;
-        } else if (const char *v12 = value("--kill-after=")) {
-            // Undocumented testing aid: SIGKILL this process after N
-            // checkpoint appends (crash-resume suite).
-            options.killAfterCells = static_cast<unsigned>(
-                parseCount("--kill-after", v12));
-        } else if (arg == "--resume") {
-            options.resume = true;
-        } else if (const char *v9 = value("-j")) {
-            setJobs(v9);
         } else if (arg == "--no-shrink") {
             options.shrink = false;
         } else if (arg == "--self-test") {
             selfTest = true;
         } else {
-            usage(argv[0]);
+            // --kill-after is an undocumented testing aid.
+            const auto taken = campaign::takeEngineFlag(arg, options.engine);
+            if (!taken.ok()) {
+                std::fprintf(stderr, "%s\n",
+                             taken.status().message().c_str());
+                return 2;
+            }
+            if (!taken.value())
+                usage(argv[0]);
         }
     }
     if (static_cast<int>(!replayPath.empty()) +
@@ -211,15 +217,27 @@ main(int argc, char **argv)
                              "mutually exclusive\n");
         return 2;
     }
-    if (options.resume && options.checkpointPath.empty()) {
-        std::fprintf(stderr, "--resume requires --checkpoint=PATH (the "
-                             "journal to replay)\n");
+    const Mode *mode = !replayPath.empty()   ? &kModes[0]
+                       : !shrinkPath.empty() ? &kModes[1]
+                       : selfTest            ? &kModes[2]
+                                             : nullptr;
+    for (const std::string_view flag : given) {
+        if (!mode || takes(*mode, flag))
+            continue;
+        std::string modes = "campaign mode";
+        for (const Mode &other : kModes) {
+            if (takes(other, flag))
+                modes += " and " + std::string(other.flag) + " mode";
+        }
+        std::fprintf(stderr, "%s does not apply to %s mode; it applies "
+                             "to %s\n",
+                     std::string(flag).c_str(),
+                     std::string(mode->flag).c_str(), modes.c_str());
         return 2;
     }
-    if ((options.resume || !options.checkpointPath.empty()) &&
-        (!replayPath.empty() || !shrinkPath.empty() || selfTest)) {
-        std::fprintf(stderr, "--checkpoint/--resume only apply to the "
-                             "campaign mode\n");
+    if (options.engine.resume && options.engine.journalPath.empty()) {
+        std::fprintf(stderr, "--resume requires --checkpoint=PATH (the "
+                             "journal to replay)\n");
         return 2;
     }
 
