@@ -30,7 +30,8 @@
  * --replay re-judges saved seed files (regression mode) on the same
  * engine, one child per seed file, under -j, --timeout and --retries;
  * --shrink minimizes one known-failing seed; --self-test proves the
- * oracles catch deliberately seeded defects.
+ * oracles catch deliberately seeded defects. Each mode takes only the
+ * flags listed for it above; any other flag is a usage error.
  */
 
 #include <algorithm>
