@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "workloads/pattern.hh"
@@ -200,6 +202,229 @@ TEST(Generator, SkipAdvancesInstructionClock)
     gen.skip(1'000'000);
     EXPECT_GE(gen.instructionsRetired(), 1'000'000u);
     EXPECT_LT(gen.instructionsRetired(), 1'000'100u);
+}
+
+/** A one-region generator spec at @p opsPerKilo memory ops per 1000
+ *  instructions, for tests of the instruction clock. */
+WorkloadSpec
+densitySpec(unsigned opsPerKilo)
+{
+    WorkloadSpec spec;
+    spec.name = "density";
+    spec.memOpsPerKiloInstr = opsPerKilo;
+    spec.allocs = {{64_KiB, 1}};
+    spec.buildPattern = [](const std::vector<vm::Region> &r) {
+        return std::make_unique<SequentialPattern>(Span::fromRegions(r), 64);
+    };
+    return spec;
+}
+
+TEST(Generator, GapsMatchTheDivisionReference)
+{
+    // Each gap is floor((carry + 1000) / d) with the remainder carried,
+    // the definition the generator must keep whatever arithmetic it
+    // uses. Over 3d ops every carry value the density allows comes up.
+    for (const unsigned d : {1u, 3u, 7u, 300u, 400u, 999u, 1000u}) {
+        vm::MemoryManager mm(vm::OsPolicy{}, 16_MiB);
+        WorkloadGenerator gen(densitySpec(d), mm, 1);
+        std::uint64_t carry = 0;
+        InstrCount now = 0;
+        for (unsigned i = 0; i < 3 * d; ++i) {
+            carry += 1000;
+            const InstrCount gap = std::max<std::uint64_t>(carry / d, 1);
+            carry %= d;
+            now += gap;
+            const MemOp op = gen.next();
+            ASSERT_EQ(op.instrGap, gap) << "d=" << d << " op " << i;
+            ASSERT_EQ(gen.instructionsRetired(), now) << "d=" << d;
+        }
+        EXPECT_EQ(now, 3000u) << "d=" << d; // 3d ops span 3000 exactly
+    }
+}
+
+TEST(Patterns, PhasedFollowsAnyClockItIsGiven)
+{
+    // Child i streams inside [i MiB, i MiB + 4 KiB), so an address names
+    // the phase that produced it.
+    constexpr InstrCount kLen = 1000;
+    std::vector<PatternPtr> kids;
+    for (Addr i = 0; i < 3; ++i) {
+        kids.push_back(std::make_unique<SequentialPattern>(
+            singleExtent(i * 1_MiB, 0x1000), 64));
+    }
+    PhasedPattern p(std::move(kids), kLen);
+    Rng rng(9);
+    auto phaseOf = [&](InstrCount now) { return p.next(rng, now) / 1_MiB; };
+    // A decreasing clock, crossing phase edges from above.
+    for (const InstrCount now :
+         {5999u, 5000u, 4999u, 3001u, 3000u, 2999u, 1000u, 999u, 0u})
+        EXPECT_EQ(phaseOf(now), (now / kLen) % 3) << "now=" << now;
+    // A jumping clock: far ahead, back, and across several phases.
+    for (const InstrCount now :
+         {InstrCount{7}, InstrCount{1'000'000'001}, InstrCount{2'500},
+          InstrCount{2'999}, InstrCount{7'000}, InstrCount{3'000'000'000'000},
+          InstrCount{3'000'000'000'999}, InstrCount{1'001}, InstrCount{0}})
+        EXPECT_EQ(phaseOf(now), (now / kLen) % 3) << "now=" << now;
+}
+
+TEST(Span, EqualExtentsResolveAtEveryEdge)
+{
+    // Five equal extents at scattered bases; probe each extent's first
+    // and last byte in an order that keeps missing the last-extent memo.
+    for (const std::uint64_t size : {std::uint64_t{3 * 4096},
+                                      std::uint64_t{16_KiB}}) {
+        const Addr bases[] = {0x7000000, 0x1000000, 0x9000000, 0x3000000,
+                              0x5000000};
+        std::vector<Extent> extents;
+        for (const Addr b : bases)
+            extents.push_back({b, size});
+        const Span s(std::move(extents));
+        ASSERT_EQ(s.bytes(), 5 * size);
+        for (const std::size_t k : {4u, 0u, 2u, 1u, 3u, 0u, 4u}) {
+            EXPECT_EQ(s.addrAt(k * size), bases[k]) << size << " " << k;
+            EXPECT_EQ(s.addrAt(k * size + size - 1), bases[k] + size - 1)
+                << size << " " << k;
+        }
+        for (std::size_t k = 0; k < 5; ++k) {
+            EXPECT_EQ(s.addrAt(k * size + size - 1), bases[k] + size - 1);
+            EXPECT_EQ(s.addrAt(k * size), bases[k]);
+        }
+        EXPECT_THROW(s.addrAt(5 * size), std::logic_error);
+    }
+}
+
+TEST(Patterns, SequentialStrideAtLeastTheSpanWraps)
+{
+    for (const std::uint64_t stride : {0x100u, 0x180u, 0x1040u}) {
+        SequentialPattern p(singleExtent(0x1000, 0x100), stride);
+        Rng rng(3);
+        std::uint64_t cursor = 0;
+        for (int i = 0; i < 8; ++i) {
+            EXPECT_EQ(p.next(rng, 0), 0x1000 + cursor)
+                << "stride " << stride << " op " << i;
+            cursor = (cursor + stride) % 0x100;
+        }
+    }
+}
+
+TEST(Patterns, LocalWalkWrapsAtBothEnds)
+{
+    // With no jumps the walk draws one step per op; replay the draws
+    // against the modular reference and require wraps past both ends.
+    constexpr Addr kBase = 0x200000;
+    constexpr std::uint64_t kSize = 0x100;
+    for (const std::uint64_t maxStep : {std::uint64_t{0x40}, kSize - 1}) {
+        LocalWalkPattern p(singleExtent(kBase, kSize), maxStep, 0.0);
+        Rng rng(11);
+        Rng ref(11);
+        std::uint64_t pos = 0;
+        bool wrappedLow = false;
+        bool wrappedHigh = false;
+        for (int i = 0; i < 2000; ++i) {
+            const std::uint64_t step = ref.below(2 * maxStep + 1);
+            wrappedLow |= pos + step < maxStep;
+            wrappedHigh |= pos + step >= maxStep + kSize;
+            pos = (pos + kSize + step - maxStep) % kSize;
+            ASSERT_EQ(p.next(rng, 0), (kBase + pos) & ~Addr{7})
+                << "maxStep " << maxStep << " op " << i;
+        }
+        EXPECT_TRUE(wrappedLow) << maxStep;
+        EXPECT_TRUE(wrappedHigh) << maxStep;
+    }
+}
+
+/**
+ * FNV-1a 64 over (vaddr, instrGap), low byte first, of the first
+ * @p ops ops of @p spec's stream at @p seed after skip(@p skip).
+ */
+std::uint64_t
+streamHash(const WorkloadSpec &spec, std::uint64_t seed, InstrCount skip,
+           unsigned ops)
+{
+    vm::OsPolicy policy;
+    policy.transparentHugePages = true;
+    vm::MemoryManager mm(policy, spec.footprintBytes() +
+                                     spec.footprintBytes() / 4 + 256_MiB);
+    WorkloadGenerator gen(spec, mm, seed);
+    gen.skip(skip);
+    std::uint64_t h = 14695981039346656037ull;
+    auto fold = [&h](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte, v >>= 8) {
+            h ^= v & 0xff;
+            h *= 1099511628211ull;
+        }
+    };
+    for (unsigned i = 0; i < ops; ++i) {
+        const MemOp op = gen.next();
+        fold(op.vaddr);
+        fold(op.instrGap);
+    }
+    return h;
+}
+
+TEST(Generator, StreamsMatchTheirGoldenHashes)
+{
+    // Pins every workload's op stream bit for bit: the hash of its first
+    // 200k ops after skip(12345) at seed 7. A generator change that is
+    // meant to keep the streams must leave every hash alone. After an
+    // intended stream change, run this test and copy the "new hash" each
+    // failing workload prints into its row.
+    const std::pair<const char *, std::uint64_t> golden[] = {
+        {"astar", 0x7ea122ce766cb2f0ull},
+        {"cactusADM", 0xd44c0a81e504c7a7ull},
+        {"GemsFDTD", 0x7f2ebda32e18d970ull},
+        {"mcf", 0x99f5ba64f430f4a7ull},
+        {"omnetpp", 0xadb1fdc8303bc9ceull},
+        {"zeusmp", 0x36aebcea1b355a1aull},
+        {"mummer", 0x73a961edf6d6e342ull},
+        {"canneal", 0xb947dc5a95487a38ull},
+        {"bwaves", 0xab82edbc20d75f67ull},
+        {"bzip2", 0xb122bccd1b2a254cull},
+        {"dealII", 0x4d6601471afa04c1ull},
+        {"gamess", 0x2a73755a29a9a009ull},
+        {"gcc", 0x7a33e3c27347dffbull},
+        {"gobmk", 0xa32fb5fcb68e6ab1ull},
+        {"gromacs", 0xc5ccedeb0f168787ull},
+        {"h264ref", 0x1d57a95df931717dull},
+        {"hmmer", 0x1f495161d125eb1full},
+        {"lbm", 0x86ca84c26c9fbcdbull},
+        {"leslie3d", 0xaa23d1cec2ad73fdull},
+        {"libquantum", 0xb6d840eef95804f2ull},
+        {"milc", 0x31349bdc693131e9ull},
+        {"namd", 0xb0ca9037eb3f4446ull},
+        {"perlbench", 0xbdc65019a70fb2eeull},
+        {"povray", 0xba1f51931946e503ull},
+        {"sjeng", 0xc9a2ef27294fb3b3ull},
+        {"soplex", 0x29a73b705d56ab58ull},
+        {"sphinx3", 0x0af6b00062b0931bull},
+        {"tonto", 0xa3724453544bdffeull},
+        {"wrf", 0x1573c6dd5f956c05ull},
+        {"xalancbmk", 0x2aa8d0d008c07118ull},
+        {"blackscholes", 0x98b93532d4847502ull},
+        {"bodytrack", 0x750fb97b20171960ull},
+        {"dedup", 0x3e3a8c64c8463618ull},
+        {"facesim", 0xc25c6e0f8506988eull},
+        {"ferret", 0x2512510f6362e7f2ull},
+        {"fluidanimate", 0x09d40e1c25839f43ull},
+        {"freqmine", 0x1ba102152db2bea9ull},
+        {"raytrace", 0x8781b883def47b95ull},
+        {"streamcluster", 0x41631bd23ba9cbdeull},
+        {"swaptions", 0x290401c98ef30e07ull},
+        {"vips", 0x54f6c57ec26da5f1ull},
+        {"x264", 0x088caed4d5c8e344ull},
+    };
+    const auto all = allWorkloads();
+    for (const auto &spec : all) {
+        const std::uint64_t hash = streamHash(spec, 7, 12345, 200'000);
+        const auto it = std::find_if(
+            std::begin(golden), std::end(golden),
+            [&](const auto &row) { return spec.name == row.first; });
+        ASSERT_NE(it, std::end(golden)) << spec.name << " has no row";
+        EXPECT_EQ(hash, it->second)
+            << spec.name << " changed its stream; new hash 0x" << std::hex
+            << hash << std::dec;
+    }
+    EXPECT_EQ(std::size(golden), all.size());
 }
 
 TEST(Suite, ContainsThePaperWorkloads)
