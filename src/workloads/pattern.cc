@@ -65,6 +65,14 @@ Span::Span(std::vector<Extent> extents) : extents_(std::move(extents))
         starts_.push_back(total_);
         total_ += e.bytes;
     }
+    if (!extents_.empty() &&
+        std::all_of(extents_.begin(), extents_.end(), [&](const Extent &e) {
+            return e.bytes == extents_.front().bytes;
+        })) {
+        equalBytes_ = extents_.front().bytes;
+    }
+    if (isPowerOfTwo(equalBytes_))
+        equalShift_ = static_cast<int>(floorLog2(equalBytes_));
 }
 
 Span
@@ -77,20 +85,32 @@ Span::fromRegions(const std::vector<vm::Region> &regions)
     return Span(std::move(extents));
 }
 
+std::size_t
+Span::extentIndex(std::uint64_t offset) const
+{
+    // Extents of one size are an array: index them directly (canneal's
+    // and omnetpp's windows, the set-cover spans, the stencil grids).
+    if (equalShift_ >= 0)
+        return static_cast<std::size_t>(offset >> equalShift_);
+    if (equalBytes_ != 0)
+        return static_cast<std::size_t>(offset / equalBytes_);
+    const auto it = std::upper_bound(starts_.begin(), starts_.end(), offset);
+    return static_cast<std::size_t>(it - starts_.begin()) - 1;
+}
+
 Addr
 Span::addrAt(std::uint64_t offset) const
 {
     eat_assert(offset < total_, "span offset out of bounds");
     // Offsets arrive with the pattern's locality, so the extent that
-    // served the previous call usually serves this one; fall back to
-    // the binary search only when the memo misses.
+    // served the previous call usually serves this one; look the
+    // extent up only when the memo misses.
     const std::size_t last = lastExtent_;
     if (offset >= starts_[last] &&
         offset - starts_[last] < extents_[last].bytes) {
         return extents_[last].base + (offset - starts_[last]);
     }
-    const auto it = std::upper_bound(starts_.begin(), starts_.end(), offset);
-    const auto idx = static_cast<std::size_t>(it - starts_.begin()) - 1;
+    const std::size_t idx = extentIndex(offset);
     lastExtent_ = idx;
     return extents_[idx].base + (offset - starts_[idx]);
 }
@@ -153,7 +173,9 @@ Addr
 SequentialPattern::next(Rng &, InstrCount)
 {
     const Addr a = span_.addrAt(cursor_);
-    cursor_ = (cursor_ + stride_) % span_.bytes();
+    cursor_ += stride_;
+    if (cursor_ >= span_.bytes()) // wrap; a stride may exceed the span
+        cursor_ %= span_.bytes();
     return wordAlign(a);
 }
 
@@ -169,7 +191,10 @@ StridedPattern::StridedPattern(Span span, std::uint64_t strideBytes)
 Addr
 StridedPattern::next(Rng &, InstrCount)
 {
-    const Addr a = span_.addrAt((cursor_ + phase_) % span_.bytes());
+    std::uint64_t offset = cursor_ + phase_;
+    if (offset >= span_.bytes())
+        offset %= span_.bytes();
+    const Addr a = span_.addrAt(offset);
     cursor_ += stride_;
     if (cursor_ >= span_.bytes()) {
         cursor_ = 0;
@@ -200,8 +225,13 @@ LocalWalkPattern::next(Rng &rng, InstrCount)
     } else {
         const std::uint64_t step = rng.below(2 * maxStep_ + 1);
         const std::uint64_t size = span_.bytes();
-        // Signed step in [-maxStep_, +maxStep_], wrapped over the span.
-        pos_ = (pos_ + size + step - maxStep_) % size;
+        // Signed step in [-maxStep_, +maxStep_], wrapped over the span:
+        // with maxStep_ < size the sum lies in [1, 3 * size).
+        pos_ += size + step - maxStep_;
+        if (pos_ >= size)
+            pos_ -= size;
+        if (pos_ >= size)
+            pos_ -= size;
     }
     return wordAlign(span_.addrAt(pos_));
 }
@@ -281,9 +311,16 @@ PhasedPattern::PhasedPattern(std::vector<PatternPtr> children,
 Addr
 PhasedPattern::next(Rng &rng, InstrCount now)
 {
-    const std::size_t phase =
-        static_cast<std::size_t>((now / phaseLen_) % children_.size());
-    return children_[phase]->next(rng, now);
+    // The phase is (now / phaseLen_) % children; recompute it only when
+    // now leaves [phaseStart_, phaseStart_ + phaseLen_). The unsigned
+    // difference also catches a now below the start, so a clock that
+    // moves backwards or jumps stays exact.
+    if (now - phaseStart_ >= phaseLen_) {
+        const InstrCount index = now / phaseLen_;
+        phaseStart_ = index * phaseLen_;
+        phase_ = static_cast<std::size_t>(index % children_.size());
+    }
+    return children_[phase_]->next(rng, now);
 }
 
 } // namespace eat::workloads

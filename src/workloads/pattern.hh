@@ -62,9 +62,16 @@ class Span
     Addr addrAt(std::uint64_t offset) const;
 
   private:
+    /** Index of the extent holding @p offset (< bytes()). */
+    std::size_t extentIndex(std::uint64_t offset) const;
+
     std::vector<Extent> extents_;
     std::vector<std::uint64_t> starts_; ///< prefix offsets per extent
     std::uint64_t total_ = 0;
+    /** The one size of every extent, or 0 when the sizes differ. */
+    std::uint64_t equalBytes_ = 0;
+    /** log2(equalBytes_) when that is a power of two, else -1. */
+    int equalShift_ = -1;
     /** Extent that served the last addrAt() (pure lookup memo). */
     mutable std::size_t lastExtent_ = 0;
 };
@@ -223,6 +230,10 @@ class PhasedPattern final : public AccessPattern
   private:
     std::vector<PatternPtr> children_;
     InstrCount phaseLen_;
+    /** First instruction of the phase the last call fell in, and that
+     *  phase's child (a clock, so next() divides only on a change). */
+    InstrCount phaseStart_ = 0;
+    std::size_t phase_ = 0;
 };
 
 } // namespace eat::workloads

@@ -17,13 +17,14 @@ WorkloadSpec::footprintBytes() const
 WorkloadGenerator::WorkloadGenerator(const WorkloadSpec &spec,
                                      vm::MemoryManager &mm,
                                      std::uint64_t seed)
-    : rng_(seed),
-      gapNumerator_(1000),
-      gapDenominator_(spec.memOpsPerKiloInstr)
+    : rng_(seed)
 {
     eat_assert(spec.memOpsPerKiloInstr >= 1 &&
                    spec.memOpsPerKiloInstr <= 1000,
                spec.name, ": memOpsPerKiloInstr must be in [1, 1000]");
+    gapDivisor_ = spec.memOpsPerKiloInstr;
+    gapQuotient_ = 1000 / gapDivisor_;
+    gapRemainder_ = 1000 % gapDivisor_;
     eat_assert(!spec.allocs.empty(), spec.name, ": no allocations");
     eat_assert(spec.buildPattern != nullptr, spec.name, ": no pattern");
 
@@ -34,7 +35,6 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadSpec &spec,
     pattern_ = spec.buildPattern(regions_);
     eat_assert(pattern_ != nullptr, spec.name, ": pattern builder failed");
 }
-
 
 void
 WorkloadGenerator::skip(InstrCount instructions)

@@ -93,15 +93,20 @@ class WorkloadGenerator
     const std::vector<vm::Region> &regions() const { return regions_; }
 
   private:
-    /** gap = ceil-or-floor of 1000/opsPerKilo with an error accumulator,
-     *  so the average is exact and the stream is deterministic. */
+    /**
+     * gap = floor((carry + 1000) / d) with the remainder carried, so the
+     * average is exactly 1000 / d and the stream is deterministic. With
+     * 1000 = q*d + r and carry < d, that is q plus one when carry + r
+     * reaches d: one add and one compare, no division.
+     */
     InstrCount
     nextGap()
     {
-        gapCarry_ += gapNumerator_;
-        const std::uint64_t gap = gapCarry_ / gapDenominator_;
-        gapCarry_ %= gapDenominator_;
-        return gap > 0 ? gap : 1;
+        gapCarry_ += gapRemainder_;
+        if (gapCarry_ < gapDivisor_)
+            return gapQuotient_;
+        gapCarry_ -= gapDivisor_;
+        return gapQuotient_ + 1;
     }
 
     PatternPtr pattern_;
@@ -109,11 +114,11 @@ class WorkloadGenerator
     Rng rng_;
     InstrCount now_ = 0;
 
-    // Fixed-point gap accumulator: emits gaps whose long-run average is
-    // exactly 1000 / memOpsPerKiloInstr instructions.
-    std::uint64_t gapNumerator_;   ///< 1000
-    std::uint64_t gapDenominator_; ///< memOpsPerKiloInstr
-    std::uint64_t gapCarry_ = 0;
+    // Gap clock for d = memOpsPerKiloInstr; d <= 1000, so q >= 1.
+    std::uint64_t gapDivisor_ = 1;   ///< d
+    std::uint64_t gapQuotient_ = 0;  ///< q = 1000 / d
+    std::uint64_t gapRemainder_ = 0; ///< r = 1000 % d
+    std::uint64_t gapCarry_ = 0;     ///< always < d
 };
 
 } // namespace eat::workloads
