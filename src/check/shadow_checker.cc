@@ -14,6 +14,10 @@ namespace
 /** Cap on eat_warn noise; counters keep counting past it. */
 constexpr unsigned kMaxWarnings = 8;
 
+/** Tags a way-mask finding that is an illegal way count, so that it
+ *  never equals a stale-entry count or the legal finding 0. */
+constexpr std::uint64_t kIllegalWayCount = std::uint64_t{1} << 32;
+
 } // namespace
 
 std::string_view
@@ -105,10 +109,18 @@ ShadowChecker::setTrace(obs::TraceWriter *trace, unsigned core)
         traceTrack_ = trace_->track("shadow checker", core);
 }
 
+template <typename Format>
 void
-ShadowChecker::recordMismatch(std::uint64_t &counter, std::string message)
+ShadowChecker::recordMismatch(std::uint64_t &counter, Format &&format)
 {
     ++counter;
+    if (firstMismatch_.empty() || trace_ || warningsEmitted_ < kMaxWarnings)
+        keepMismatch(format());
+}
+
+void
+ShadowChecker::keepMismatch(std::string message)
+{
     if (!coreLabel_.empty())
         message = coreLabel_ + message;
     if (firstMismatch_.empty())
@@ -130,26 +142,28 @@ ShadowChecker::pageMismatch(Addr vaddr, Addr paddr, vm::PageSize size,
                             const std::optional<vm::Translation> &golden)
 {
     if (!golden) {
-        recordMismatch(
-            stats_.sourceViolations,
-            detail::cat(sourceName, " translated unmapped vaddr 0x",
-                        std::hex, vaddr));
+        recordMismatch(stats_.sourceViolations, [&] {
+            return detail::cat(sourceName, " translated unmapped vaddr 0x",
+                               std::hex, vaddr);
+        });
         return;
     }
     if (golden->size != size) {
-        recordMismatch(
-            stats_.sizeMismatches,
-            detail::cat(sourceName, " served vaddr 0x", std::hex, vaddr,
-                        " as a ", vm::pageSizeName(size), " page; the page"
-                        " table maps it as ", vm::pageSizeName(golden->size)));
+        recordMismatch(stats_.sizeMismatches, [&] {
+            return detail::cat(sourceName, " served vaddr 0x", std::hex,
+                               vaddr, " as a ", vm::pageSizeName(size),
+                               " page; the page table maps it as ",
+                               vm::pageSizeName(golden->size));
+        });
         return;
     }
     if (golden->paddr(vaddr) != paddr) {
-        recordMismatch(
-            stats_.paddrMismatches,
-            detail::cat(sourceName, " translated vaddr 0x", std::hex, vaddr,
-                        " to paddr 0x", paddr, "; golden model says 0x",
-                        golden->paddr(vaddr)));
+        recordMismatch(stats_.paddrMismatches, [&] {
+            return detail::cat(sourceName, " translated vaddr 0x", std::hex,
+                               vaddr, " to paddr 0x", paddr,
+                               "; golden model says 0x",
+                               golden->paddr(vaddr));
+        });
     }
 }
 
@@ -159,20 +173,31 @@ ShadowChecker::rangeMismatch(Addr vaddr, Addr paddr,
                              const std::optional<vm::RangeTranslation> &golden)
 {
     if (!golden) {
-        recordMismatch(
-            stats_.sourceViolations,
-            detail::cat(sourceName, " hit for vaddr 0x", std::hex, vaddr,
-                        " but no range translation covers it"));
+        recordMismatch(stats_.sourceViolations, [&] {
+            return detail::cat(sourceName, " hit for vaddr 0x", std::hex,
+                               vaddr, " but no range translation covers it");
+        });
         return;
     }
     if (golden->paddr(vaddr) != paddr) {
-        recordMismatch(
-            stats_.paddrMismatches,
-            detail::cat(sourceName, " translated vaddr 0x", std::hex, vaddr,
-                        " to paddr 0x", paddr, "; golden range [0x",
-                        golden->vbase, ", 0x", golden->vlimit,
-                        ") says 0x", golden->paddr(vaddr)));
+        recordMismatch(stats_.paddrMismatches, [&] {
+            return detail::cat(sourceName, " translated vaddr 0x", std::hex,
+                               vaddr, " to paddr 0x", paddr,
+                               "; golden range [0x", golden->vbase, ", 0x",
+                               golden->vlimit, ") says 0x",
+                               golden->paddr(vaddr));
+        });
     }
+}
+
+std::uint64_t &
+ShadowChecker::lastWayMaskFinding(const tlb::SetAssocTlb &tlb)
+{
+    for (auto &[audited, finding] : wayMaskFindings_) {
+        if (audited == &tlb)
+            return finding;
+    }
+    return wayMaskFindings_.emplace_back(&tlb, 0).second;
 }
 
 void
@@ -182,20 +207,30 @@ ShadowChecker::auditWayMask(const tlb::SetAssocTlb &tlb)
         return;
     ++stats_.wayMaskAudits;
 
-    if (!isPowerOfTwo(tlb.activeWays()) || tlb.activeWays() > tlb.ways()) {
-        recordMismatch(
-            stats_.wayMaskViolations,
-            detail::cat(tlb.name(), ": illegal active-way count ",
-                        tlb.activeWays(), " (physical ways ", tlb.ways(),
-                        ")"));
+    // A finding is 0 for a legal mask, else the illegal way count or
+    // the number of stale entries. An illegal state lasts until Lite's
+    // next interval end, so only a finding that differs from the TLB's
+    // previous one is a new violation.
+    const unsigned ways = tlb.activeWays();
+    const bool illegalWays = !isPowerOfTwo(ways) || ways > tlb.ways();
+    const unsigned stale = illegalWays ? 0 : tlb.validInDisabledWays();
+    const std::uint64_t finding = illegalWays ? kIllegalWayCount | ways
+                                              : stale;
+    std::uint64_t &last = lastWayMaskFinding(tlb);
+    if (finding == last)
         return;
-    }
-    const unsigned stale = tlb.validInDisabledWays();
-    if (stale > 0) {
-        recordMismatch(
-            stats_.wayMaskViolations,
-            detail::cat(tlb.name(), ": ", stale, " valid entries in "
-                        "disabled ways (missed invalidation)"));
+    last = finding;
+    if (illegalWays) {
+        recordMismatch(stats_.wayMaskViolations, [&] {
+            return detail::cat(tlb.name(), ": illegal active-way count ",
+                               ways, " (physical ways ", tlb.ways(), ")");
+        });
+    } else if (stale > 0) {
+        recordMismatch(stats_.wayMaskViolations, [&] {
+            return detail::cat(tlb.name(), ": ", stale,
+                               " valid entries in disabled ways"
+                               " (missed invalidation)");
+        });
     }
 }
 

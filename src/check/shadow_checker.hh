@@ -24,6 +24,8 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "base/status.hh"
 #include "check/shadow_translator.hh"
@@ -162,7 +164,18 @@ class ShadowChecker
     void setTrace(obs::TraceWriter *trace, unsigned core = 0);
 
   private:
-    void recordMismatch(std::uint64_t &counter, std::string message);
+    /** Count one mismatch in @p counter. @p format builds its message,
+     *  and runs only when firstMismatch(), the trace or a warning will
+     *  use it: faulty runs report thousands of mismatches. */
+    template <typename Format>
+    void recordMismatch(std::uint64_t &counter, Format &&format);
+
+    /** Keep @p message as the first mismatch, a trace instant and a
+     *  warning, each while it still wants one. */
+    void keepMismatch(std::string message);
+
+    /** @p tlb's finding at its previous audit (0 before the first). */
+    std::uint64_t &lastWayMaskFinding(const tlb::SetAssocTlb &tlb);
 
     /** Classify and record a failed page-translation check. */
     void pageMismatch(Addr vaddr, Addr paddr, vm::PageSize size,
@@ -184,6 +197,10 @@ class ShadowChecker
     CheckStats stats_;
     std::string firstMismatch_;
     unsigned warningsEmitted_ = 0;
+    /** Each audited TLB with its previous audit's finding: a way-mask
+     *  fault counts once, at the first audit that sees it. */
+    std::vector<std::pair<const tlb::SetAssocTlb *, std::uint64_t>>
+        wayMaskFindings_;
 
     obs::TraceWriter *trace_ = nullptr;
     unsigned traceTrack_ = 0;

@@ -375,11 +375,49 @@ TEST_F(CheckerTest, LiteGivesASpuriouslyEnabledTlbItsWaysBack)
     tlb.forceActiveWays(3);
     for (int i = 0; i < 128; ++i)
         mmu.access(0x1234 + i * 8);
-    EXPECT_GT(checker.stats().wayMaskViolations, 0u);
+    // Two audits saw the glitch; it is one fault, counted once.
+    EXPECT_GE(checker.stats().wayMaskAudits, 2u);
+    EXPECT_EQ(checker.stats().wayMaskViolations, 1u);
 
     mmu.tick(cfg.lite.intervalInstructions);
     EXPECT_EQ(tlb.activeWays(), tlb.ways());
     EXPECT_EQ(mmu.lite()->stats().degradationActivations, 0u);
+}
+
+TEST_F(CheckerTest, EachWayMaskGlitchCountsOnce)
+{
+    pt.map(0x1000, 0x200000, PageSize::Size4K);
+    auto cfg = core::MmuConfig::make(core::MmuOrg::TlbLite);
+    cfg.lite.fullActivationProbability = 0.0;
+    core::Mmu mmu(cfg, pt, nullptr);
+    ShadowChecker checker(CheckLevel::Full, pt, nullptr);
+    mmu.setChecker(&checker);
+    auto &tlb = mmu.l1Tlb4K();
+    auto hits = [&] { // 128 L1 hits: two audits of every TLB
+        for (int i = 0; i < 128; ++i)
+            mmu.access(0x1234 + i * 8);
+    };
+
+    mmu.access(0x1234);
+    mmu.tick(cfg.lite.intervalInstructions); // Lite shrinks to 1 way
+    ASSERT_EQ(tlb.activeWays(), 1u);
+
+    // The first glitch lasts until Lite gives the TLB its ways back;
+    // audits in between find the mask legal again.
+    tlb.forceActiveWays(3);
+    hits();
+    mmu.tick(cfg.lite.intervalInstructions);
+    ASSERT_EQ(tlb.activeWays(), tlb.ways());
+    hits();
+    EXPECT_EQ(checker.stats().wayMaskViolations, 1u);
+
+    // The same glitch again is a second fault.
+    tlb.forceActiveWays(3);
+    hits();
+    EXPECT_EQ(checker.stats().wayMaskViolations, 2u);
+    EXPECT_EQ(checker.stats().mismatches(), 2u);
+    EXPECT_NE(checker.firstMismatch().find("illegal active-way count 3"),
+              std::string::npos);
 }
 
 TEST_F(CheckerTest, PaddrLevelSkipsWayMaskAudits)
