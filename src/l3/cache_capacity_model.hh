@@ -14,8 +14,10 @@
  *  - leakage is charged for the reserved share of the LLC capacity for
  *    the entire run (reserved-share model: the tier claims its maximum
  *    footprint up front and never gives it back, a deliberately
- *    conservative assumption that keeps leakage constant and therefore
- *    cacheable by the MMU's leakage memo).
+ *    conservative assumption that keeps leakage constant, so the
+ *    MMU's leakage stays exact although `Mmu::refreshLeakage()` runs
+ *    only in the constructor, at the static-mask lift and at Lite's
+ *    interval decision).
  */
 
 #ifndef EAT_L3_CACHE_CAPACITY_MODEL_HH
